@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from random import Random
 from typing import Any, Callable, Generic, Iterable, Mapping, Optional, Tuple, TypeVar
@@ -29,13 +30,27 @@ class HarnessError(Exception):
     pass
 
 
-class TransformationError(HarnessError):
-    """A test subject raised while processing a batch."""
+class CaseError(HarnessError):
+    """User code raised during one test case; reported in the errors bucket."""
+
+    stage: str
 
     def __init__(self, step: int, cause: BaseException):
-        super().__init__(f"transformation failed at step {step}: {cause!r}")
+        super().__init__(f"{self.stage} failed at step {step}: {cause!r}")
         self.step = step
         self.cause = cause
+
+
+class TransformationError(CaseError):
+    """A test subject raised while processing a batch."""
+
+    stage = "transformation"
+
+
+class PredicateError(CaseError):
+    """A predicate or consumer of the formula raised while judging a letter."""
+
+    stage = "predicate"
 
 
 class OracleMismatch(HarnessError):
@@ -59,7 +74,6 @@ class HarnessConfig:
     seed: int = 0
     parallelism: int = 1
     oracle_crosscheck: bool = False
-    use_wall_clock_start: bool = False
 
     def __post_init__(self) -> None:
         if self.batch_interval_ms < 1:
@@ -71,20 +85,12 @@ class HarnessConfig:
         if self.parallelism < 1:
             raise ValueError("parallelism must be positive")
 
-    def resolved_start_ms(self) -> int:
-        if self.use_wall_clock_start:
-            import time
 
-            return int(time.time() * 1000)
-        return self.start_time_ms
-
-
-def time_of(instant: int, cfg: HarnessConfig, start_ms: Optional[int] = None) -> int:
+def time_of(instant: int, cfg: HarnessConfig) -> int:
     """Timestamp of the 1-based ``instant``: start + (instant - 1) * interval."""
     if instant < 1:
         raise ValueError("instants are 1-based")
-    start = cfg.start_time_ms if start_ms is None else start_ms
-    return start + (instant - 1) * cfg.batch_interval_ms
+    return cfg.start_time_ms + (instant - 1) * cfg.batch_interval_ms
 
 
 # ---------------------------------------------------------------------------
@@ -203,46 +209,38 @@ def run_test_case(
 
     Stops as soon as the formula is solved or the prefix is exhausted; an
     exhausted prefix is closed out with the empty letter, which may leave the
-    verdict inconclusive.
+    verdict inconclusive.  With ``oracle_crosscheck`` the reference judges the
+    word the monitor consumed: a decided verdict on a finite word never
+    changes when the word is extended, so the unread rest cannot matter.
     """
-    start_ms = cfg.resolved_start_ms()
     monitor = Monitor(formula)
     state = transformation.initial
+    word = []
     for instant, batch in enumerate(prefix, 1):
         if monitor.verdict is not None:
             break
-        time_ms = time_of(instant, cfg, start_ms)
+        time_ms = time_of(instant, cfg)
         try:
             state, out = transformation.step(state, batch, time_ms)
         except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
             raise TransformationError(instant, exc) from exc
-        monitor.step(IoLetter(batch, Batch(out), time_ms), time_ms)
+        letter = IoLetter(batch, Batch(out), time_ms)
+        word.append((letter, time_ms))
+        try:
+            monitor.step(letter, time_ms)
+        except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
+            raise PredicateError(instant, exc) from exc
     if monitor.verdict is None:
-        monitor.finish()
+        monitor.finish()  # the empty letter calls no predicate
     verdict = monitor.verdict
     assert verdict is not None
     if cfg.oracle_crosscheck:
-        expected = semantics.models(_materialize(prefix, transformation, cfg, start_ms), formula)
+        expected = semantics.models(word, formula)
         if expected is not verdict:
             raise OracleMismatch(
                 f"stepwise verdict {verdict.symbol} != reference {expected.symbol}"
             )
     return verdict, tuple(monitor.trace)
-
-
-def _materialize(
-    prefix: StreamPrefix,
-    transformation: Transformation,
-    cfg: HarnessConfig,
-    start_ms: int,
-) -> list:
-    state = transformation.initial
-    word = []
-    for instant, batch in enumerate(prefix, 1):
-        time_ms = time_of(instant, cfg, start_ms)
-        state, out = transformation.step(state, batch, time_ms)
-        word.append((IoLetter(batch, Batch(out), time_ms), time_ms))
-    return word
 
 
 # ---------------------------------------------------------------------------
@@ -292,51 +290,50 @@ def for_all_stream(
     """Try to refute the formula over generated prefixes.
 
     Runs until ``min_tests_ok`` non-false verdicts accumulate or a
-    counterexample (or subject error) appears.  Inconclusive verdicts are not
-    failures but count toward the case budget.  Given the same seed and
-    config the report is identical whether cases run sequentially or on
-    ``parallelism`` workers.
+    counterexample (or user-code error) appears.  Inconclusive verdicts are
+    not failures but count toward the case budget.  Cases run in waves of
+    ``parallelism`` consecutive indices, on threads when it exceeds one; the
+    run stops after the wave that holds the first failure or error, and the
+    results are folded in index order, so the report is the same for every
+    ``parallelism``.
     """
 
     def run_case(index: int):
         prefix = StreamPrefix(gen(case_rng(cfg.seed, index)))
         try:
             verdict, trace = run_test_case(prefix, transformation, formula, cfg)
-            return prefix, verdict, trace, None
-        except TransformationError as exc:
+        except CaseError as exc:
             return prefix, None, (), exc
+        return prefix, verdict, trace, None
 
-    budget = range(1, cfg.min_tests_ok + 1)
-    if cfg.parallelism > 1:
-        # Speculatively evaluate the whole budget, then replay in case order;
-        # results past the sequential stopping point are discarded.
-        with ThreadPoolExecutor(max_workers=cfg.parallelism) as pool:
-            results = list(pool.map(run_case, budget))
-    else:
-        results = None
+    def results(run_wave):
+        end = cfg.min_tests_ok + 1
+        for first in range(1, end, cfg.parallelism):
+            wave = range(first, min(first + cfg.parallelism, end))
+            yield from zip(wave, run_wave(run_case, wave))
 
     passed = inconclusive = failed = errors = 0
     counterexample = None
     error_message = None
     cases = 0
-    for index in budget:
-        prefix, verdict, trace, error = (
-            results[index - 1] if results is not None else run_case(index)
-        )
-        cases += 1
-        if error is not None:
-            errors = 1
-            error_message = f"case {index}: {error}"
-            break
-        if verdict is truth.TRUE:
-            passed += 1
-        elif verdict is truth.INCONCLUSIVE:
-            inconclusive += 1
-        else:
-            failed = 1
-            failing_step = trace[-1].step if trace else 0
-            counterexample = Counterexample(index, prefix, trace, failing_step)
-            break
+    threads = ThreadPoolExecutor(cfg.parallelism) if cfg.parallelism > 1 else nullcontext()
+    with threads as pool:
+        run_wave = map if pool is None else pool.map
+        for index, (prefix, verdict, trace, error) in results(run_wave):
+            cases += 1
+            if error is not None:
+                errors = 1
+                error_message = f"case {index}: {error}"
+                break
+            if verdict is truth.TRUE:
+                passed += 1
+            elif verdict is truth.INCONCLUSIVE:
+                inconclusive += 1
+            else:
+                failed = 1
+                failing_step = trace[-1].step if trace else 0
+                counterexample = Counterexample(index, prefix, trace, failing_step)
+                break
     return PropertyReport(
         property_name=property_name,
         seed=cfg.seed,

@@ -5,11 +5,13 @@ import random
 import pytest
 
 from streamcheck import generators as gen
-from streamcheck import harness, runtime as rt, truth
+from streamcheck import harness, runtime as rt, semantics, truth
 from streamcheck.generators import Batch, StreamPrefix
 from streamcheck.harness import (
     HarnessConfig,
     IoLetter,
+    OracleMismatch,
+    PredicateError,
     TransformationError,
     for_all_stream,
     report_from_dict,
@@ -157,9 +159,14 @@ class TestRunTestCase:
             prefix = prefix_of(
                 *[[rng.choice("ab")] * rng.randint(0, 2) for _ in range(rng.randint(0, 6))]
             )
-            # crosscheck raises on any disagreement between the early-stopped
-            # stepwise verdict and the reference judgment of the full word
-            run_test_case(prefix, subject, body, cfg)
+            # crosscheck raises if the reference disagrees on the consumed word
+            verdict, _trace = run_test_case(prefix, subject, body, cfg)
+            state, word = subject.initial, []
+            for i, batch in enumerate(prefix, 1):
+                t = time_of(i, cfg)
+                state, out = subject.step(state, batch, t)
+                word.append((IoLetter(batch, out, t), t))
+            assert verdict is semantics.models(word, body)
 
     def test_transformation_errors_are_wrapped(self):
         def boom(_e):
@@ -170,6 +177,21 @@ class TestRunTestCase:
                 prefix_of([1]),
                 harness.map_elements(boom),
                 rt.Always(2, rt.now(lambda l: True)),
+                CFG,
+            )
+
+    def test_predicate_errors_are_wrapped(self):
+        calls = []
+
+        def fails_second(_letter):
+            calls.append(1)
+            return 1 / (2 - len(calls))
+
+        with pytest.raises(PredicateError, match="step 2: ZeroDivisionError"):
+            run_test_case(
+                prefix_of([1], [2], [3]),
+                harness.map_elements(str),
+                rt.Always(3, rt.now(fails_second)),
                 CFG,
             )
 
@@ -221,6 +243,65 @@ class TestForAllStream:
         assert report.errors == 1 and report.failed == 0
         assert "case 1" in report.error_message
 
+    def test_predicate_errors_use_the_errors_bucket(self):
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 3)
+        report = for_all_stream(
+            prefixes, harness.map_elements(str), rt.Always(3, rt.now(lambda l: 1 / 0)), CFG
+        )
+        assert report.errors == 1 and report.failed == 0 and report.cases == 1
+        assert report.error_message.startswith("case 1: predicate failed at step 1")
+        assert "ZeroDivisionError" in report.error_message
+
+    def test_oracle_mismatch_is_not_a_case_error(self, monkeypatch):
+        class WrongReference:
+            @staticmethod
+            def models(_word, _phi):
+                return truth.FALSE
+
+        monkeypatch.setattr(harness, "semantics", WrongReference)
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 2)
+        with pytest.raises(OracleMismatch):
+            for_all_stream(
+                prefixes,
+                harness.map_elements(str),
+                rt.Always(2, output_nonempty()),
+                HarnessConfig(min_tests_ok=3, oracle_crosscheck=True),
+            )
+
+    def test_oracle_does_not_change_the_outcome(self):
+        """The subject raises only at step 2, past where the formula is decided."""
+
+        def fails_at_second_instant(state, batch, time_ms):
+            if time_ms == 100:
+                raise RuntimeError("second instant")
+            return state, batch
+
+        subject = harness.Transformation(None, fails_at_second_instant)
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 3)
+        formula = rt.Always(1, output_nonempty())
+        plain = for_all_stream(prefixes, subject, formula, HarnessConfig(min_tests_ok=3))
+        checked = for_all_stream(
+            prefixes, subject, formula, HarnessConfig(min_tests_ok=3, oracle_crosscheck=True)
+        )
+        assert plain.passed == 3
+        assert report_to_json(checked) == report_to_json(plain)
+
+    def test_refuted_parallel_run_stops_after_the_first_wave(self):
+        drawn = []
+
+        def counted(rng):
+            drawn.append(1)
+            return gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 4)(rng)
+
+        report = for_all_stream(
+            counted,
+            harness.filter_elements(lambda x: False),
+            rt.Always(4, output_nonempty()),
+            HarnessConfig(min_tests_ok=200, parallelism=4),
+        )
+        assert report.failed == 1 and report.cases == 1
+        assert len(drawn) <= 4
+
     def test_parallel_equals_sequential(self):
         prefixes = gen.until(
             gen.batch_of_n(2, gen.choose_int(0, 9)), gen.batch_of_n(0, gen.choose_int(0, 9)), 6
@@ -258,12 +339,6 @@ class TestForAllStream:
             assert report.failed <= 1
             assert report.passed + report.inconclusive + report.failed == report.cases
             assert (report.counterexample is not None) == (report.failed == 1)
-
-    def test_wall_clock_start_flag(self):
-        fixed = HarnessConfig()
-        assert fixed.resolved_start_ms() == 0
-        wall = HarnessConfig(use_wall_clock_start=True)
-        assert wall.resolved_start_ms() > 0
 
 
 def test_clock_monotonicity_property_over_the_harness():

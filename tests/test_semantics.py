@@ -110,6 +110,23 @@ def test_decided_search_is_stable_under_extension():
     assert stable_true > 20 and stable_false > 20
 
 
+def test_decided_prefix_verdicts_never_change():
+    """A verdict decided on a prefix is the verdict of every extension, which
+    is why the harness cross-check may judge only the word a monitor consumed."""
+    rng = random.Random(57)
+    decided = 0
+    for _ in range(400):
+        phi = random_runtime_formula(rng, depth=4, allow_dynamic=True)
+        word = random_word(rng)
+        full = semantics.models(word, phi)
+        for k in range(len(word)):
+            verdict = semantics.models(word[:k], phi)
+            if verdict is not truth.INCONCLUSIVE:
+                decided += 1
+                assert verdict is full
+    assert decided > 500
+
+
 def test_release_no_release_branch_needs_full_window():
     # right operand holds while letters last, but the window is longer
     phi = rt.Release(3, letter_is("a"), letter_is("b"))
