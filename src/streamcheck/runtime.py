@@ -450,6 +450,81 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
 
 
 # ---------------------------------------------------------------------------
+# Obligation merging
+
+# Per chain kind, the timed operators that keep their smaller timeout: the
+# stronger obligation in a conjunction, the weaker in a disjunction.  The
+# other two kinds keep the larger timeout.
+_KEEP_SMALLER = {And: (Eventually, Until), Or: (Always, Release)}
+
+
+def merge_obligations(phi: Formula) -> Formula:
+    """Merge timed operators of one kind over the same operands in each chain.
+
+    ``F[j]a => F[k]a`` for ``j <= k`` (likewise for until; dually
+    ``G[k]a => G[j]a`` and for release), so a conjunction of such operators
+    equals the strongest one and a disjunction the weakest one.  Operands are
+    compared by identity: the obligations one ``Always`` spawns share its body
+    object, and no deep comparison is paid.  Bodies of ``Next`` and of timed
+    operators are not entered.  Returns ``phi`` itself when nothing merged.
+    """
+    if isinstance(phi, (And, Or)):
+        return _merge_chain(phi)
+    if isinstance(phi, Not):
+        body = merge_obligations(phi.body)
+        return phi if body is phi.body else mk_not(body)
+    if isinstance(phi, Implies):
+        left, right = merge_obligations(phi.left), merge_obligations(phi.right)
+        if left is phi.left and right is phi.right:
+            return phi
+        return mk_implies(left, right)
+    return phi
+
+
+def _merge_chain(phi: Formula) -> Formula:
+    kind = type(phi)
+    items = []
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack.append(node.right)
+            stack.append(node.left)
+        else:
+            items.append(node)
+    keep_smaller = _KEEP_SMALLER[kind]
+    slots: Dict[tuple, int] = {}
+    kept: list = []
+    changed = False
+    for item in items:
+        op = type(item)
+        if op is Eventually or op is Always:
+            key: tuple = (op, id(item.body))
+        elif op is Until or op is Release:
+            key = (op, id(item.left), id(item.right))
+        else:
+            merged = merge_obligations(item)
+            changed = changed or merged is not item
+            kept.append(merged)
+            continue
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = len(kept)
+            kept.append(item)
+            continue
+        changed = True
+        held = kept[slot].timeout
+        if item.timeout < held if op in keep_smaller else item.timeout > held:
+            kept[slot] = item
+    if not changed:
+        return phi
+    result = kept[-1]
+    for item in reversed(kept[:-1]):
+        result = kind(item, result)
+    return result
+
+
+# ---------------------------------------------------------------------------
 # Safe word length
 
 
@@ -557,7 +632,7 @@ class Monitor:
         if self.verdict is not None:
             raise MonitorDecided("monitor already reached a verdict")
         current = letter_simplify(self._current, (letter, time_ms))
-        current = unfold(current)
+        current = unfold(merge_obligations(current))
         self._current = current
         self.consumed += 1
         if isinstance(current, Solved):

@@ -63,15 +63,21 @@ def implies(a: Verdict, b: Verdict) -> Verdict:
 
 
 def conj_all(values: Iterable[Verdict]) -> Verdict:
+    """Meet of ``values``; stops consuming them at the first FALSE."""
     result = TRUE
     for v in values:
+        if v is FALSE:
+            return FALSE
         result = conj(result, v)
     return result
 
 
 def disj_any(values: Iterable[Verdict]) -> Verdict:
+    """Join of ``values``; stops consuming them at the first TRUE."""
     result = FALSE
     for v in values:
+        if v is TRUE:
+            return TRUE
         result = disj(result, v)
     return result
 

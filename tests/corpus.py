@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from typing import List, Optional, Tuple
+from typing import List, Mapping, Optional, Tuple
 
 from streamcheck import runtime as rt
 from streamcheck import symbolic as sym
@@ -71,11 +71,14 @@ def random_runtime_formula(
     max_timeout: int = 4,
     allow_dynamic: bool = False,
     allow_inconclusive: bool = True,
+    atoms: Optional[Mapping[str, rt.Consume]] = None,
 ) -> rt.Formula:
+    """Random formula; with ``atoms``, every letter test is the shared atom object."""
     if depth <= 0 or rng.random() < 0.2:
         roll = rng.random()
         if roll < 0.55:
-            return letter_is(rng.choice(ALPHABET))
+            letter = rng.choice(ALPHABET)
+            return letter_is(letter) if atoms is None else atoms[letter]
         if allow_dynamic and roll < 0.7:
             return _dynamic_atom(rng)
         values = [truth.TRUE, truth.FALSE]
@@ -84,7 +87,9 @@ def random_runtime_formula(
         return rt.Solved(rng.choice(values))
 
     def sub() -> rt.Formula:
-        return random_runtime_formula(rng, depth - 1, max_timeout, allow_dynamic, allow_inconclusive)
+        return random_runtime_formula(
+            rng, depth - 1, max_timeout, allow_dynamic, allow_inconclusive, atoms
+        )
 
     t = rng.randint(1, max_timeout)
     kind = rng.randrange(9)

@@ -209,3 +209,114 @@ def test_render_and_size():
     assert rt.size(phi) == 5
     text = rt.render(phi)
     assert "U[2]" in text and "X" in text and "!" in text
+
+
+class TestMergeObligations:
+    A, B = letter_is("a"), letter_is("b")
+
+    @pytest.mark.parametrize(
+        "make, conj_keeps, disj_keeps",
+        [
+            (lambda t, a, b: Eventually(t, a), 2, 5),
+            (lambda t, a, b: rt.Always(t, a), 5, 2),
+            (lambda t, a, b: Until(t, a, b), 2, 5),
+            (lambda t, a, b: Release(t, a, b), 5, 2),
+        ],
+        ids=["eventually", "always", "until", "release"],
+    )
+    def test_kept_operator(self, make, conj_keeps, disj_keeps):
+        short, long = make(2, self.A, self.B), make(5, self.A, self.B)
+        kept = {2: short, 5: long}
+        for chain in (And(short, long), And(long, short)):
+            assert rt.merge_obligations(chain) is kept[conj_keeps]
+        for chain in (Or(short, long), Or(long, short)):
+            assert rt.merge_obligations(chain) is kept[disj_keeps]
+
+    def test_merges_across_a_flattened_chain(self):
+        f2, f5 = Eventually(2, self.A), Eventually(5, self.A)
+        other = Next(self.B)
+        assert rt.merge_obligations(And(And(f5, other), And(self.B, f2))) == And(
+            f2, And(other, self.B)
+        )
+
+    def test_merges_inside_not_implies_and_nested_chains(self):
+        f2, f5 = Eventually(2, self.A), Eventually(5, self.A)
+        g2, g5 = rt.Always(2, self.A), rt.Always(5, self.A)
+        phi = Implies(Not(And(f2, f5)), And(self.B, Or(g5, g2)))
+        assert rt.merge_obligations(phi) == Implies(Not(f2), And(self.B, g2))
+
+    def test_same_object_when_nothing_merges(self):
+        f2 = Eventually(2, self.A)
+        phi = And(
+            Or(f2, Eventually(5, self.B)),  # different bodies
+            And(
+                Next(And(f2, Eventually(5, self.A))),  # Next bodies are not entered
+                Eventually(3, And(f2, Eventually(4, self.A))),  # nor timed bodies
+            ),
+        )
+        assert rt.merge_obligations(phi) is phi
+        wrapped = Not(Implies(f2, phi))
+        assert rt.merge_obligations(wrapped) is wrapped
+
+    def test_equal_but_distinct_operands_do_not_merge(self):
+        def is_p(letter, _time):
+            return rt.Solved(truth.Verdict.from_bool(letter == "p"))
+
+        first, second = Consume(is_p, 1, "p"), Consume(is_p, 1, "p")
+        assert first == second and first is not second
+        phi = And(Eventually(2, first), Eventually(5, second))
+        assert rt.merge_obligations(phi) is phi
+        atoms = And(Eventually(2, rt.now(bool, "p")), Eventually(5, rt.now(bool, "p")))
+        assert rt.merge_obligations(atoms) is atoms
+
+    def test_monitor_agrees_with_reference_on_shared_atoms(self, monkeypatch):
+        merges = []
+        merge = rt.merge_obligations
+
+        def counting(phi):
+            out = merge(phi)
+            if out is not phi:
+                merges.append(phi)
+            return out
+
+        monkeypatch.setattr(rt, "merge_obligations", counting)
+        rng = random.Random(2024)
+        atoms = {letter: letter_is(letter) for letter in "abc"}
+        for _ in range(400):
+            phi = random_runtime_formula(rng, depth=4, max_timeout=6, atoms=atoms)
+            word = random_word(rng, max_len=24)
+            assert monitor_verdict(phi, word) is semantics.models(word, phi)
+        assert merges
+
+
+def _long_word_shapes(n):
+    p, q, a = letter_is("p"), letter_is("q"), rt.now(lambda v: v in "ap", "a")
+    # On a word of "a" letters (p and q never hold): shape, verdict, deciding step.
+    return {
+        "G(F p)": (rt.Always(n, Eventually(n, p)), truth.FALSE, n),
+        "G(a -> F p)": (rt.Always(n, Implies(a, Eventually(n, p))), truth.FALSE, n),
+        "G(F p & F q)": (rt.Always(n, And(Eventually(n, p), Eventually(n, q))), truth.FALSE, n),
+        "G(a U p)": (rt.Always(n, Until(n, a, p)), truth.FALSE, n),
+        "G(p R a)": (rt.Always(n, Release(n, p, a)), truth.TRUE, 2 * n - 1),
+        "F(G a)": (Eventually(n, rt.Always(n, a)), truth.TRUE, n),
+    }
+
+
+@pytest.mark.parametrize("shape", sorted(_long_word_shapes(1)))
+def test_long_word_residual_stays_bounded(shape):
+    n = 5000
+    phi, verdict, step = _long_word_shapes(n)[shape]
+    monitor = rt.Monitor(phi)
+    for instant in range(1, 2 * n):
+        if monitor.step("a", instant) is not None:
+            break
+    assert (monitor.verdict, monitor.consumed) == (verdict, step)
+    assert max(entry.formula_size for entry in monitor.trace) <= 40
+
+
+@pytest.mark.parametrize("shape", sorted(_long_word_shapes(1)))
+def test_long_word_shapes_agree_with_reference(shape):
+    n = 40
+    phi, verdict, _step = _long_word_shapes(n)[shape]
+    word = [("a", instant) for instant in range(1, 2 * n)]
+    assert monitor_verdict(phi, word) is semantics.models(word, phi) is verdict

@@ -11,7 +11,9 @@ from streamcheck.truth import (
     Verdict,
     apply_connective,
     conj,
+    conj_all,
     disj,
+    disj_any,
     implies,
     neg,
 )
@@ -84,6 +86,25 @@ def test_de_morgan_duality():
     for a, b in itertools.product(ALL, repeat=2):
         assert neg(conj(a, b)) is disj(neg(a), neg(b))
         assert neg(disj(a, b)) is conj(neg(a), neg(b))
+
+
+def test_folds_match_pairwise_reduction():
+    for length in range(5):
+        for values in itertools.product(ALL, repeat=length):
+            meet, join = TRUE, FALSE
+            for v in values:
+                meet, join = conj(meet, v), disj(join, v)
+            assert conj_all(values) is meet
+            assert disj_any(values) is join
+
+
+def test_folds_stop_at_the_absorbing_value():
+    def then_raise(*values):
+        yield from values
+        raise AssertionError("consumed past the absorbing value")
+
+    assert conj_all(then_raise(TRUE, INCONCLUSIVE, FALSE)) is FALSE
+    assert disj_any(then_raise(FALSE, INCONCLUSIVE, TRUE)) is TRUE
 
 
 def test_rendering_round_trip():
