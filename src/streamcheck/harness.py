@@ -13,11 +13,12 @@ import json
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain
 from random import Random
 from typing import Any, Callable, Generic, Iterable, Mapping, Optional, Tuple, TypeVar
 
 from . import semantics, truth
-from .generators import Batch, GenFn, StreamPrefix
+from .generators import Batch, GenFn, StreamPrefix, batches_of
 from .runtime import Formula, Monitor, StepTrace
 from .truth import Verdict
 
@@ -200,38 +201,53 @@ def reduce_by_key(op: Callable[[Any, Any], Any]) -> Transformation:
 
 
 def run_test_case(
-    prefix: StreamPrefix,
+    batches: Iterable[Batch],
     transformation: Transformation,
     formula: Formula,
     cfg: HarnessConfig,
 ) -> Tuple[Verdict, Tuple[StepTrace, ...]]:
     """Feed one generated prefix through the subject and the monitor.
 
-    Stops as soon as the formula is solved or the prefix is exhausted; an
+    ``batches`` is any iterable of input batches, such as a ``StreamPrefix``
+    or a generator's ``batches_of`` iterator.  A batch is pulled only while
+    the formula is unsolved, so nothing is read past the deciding step; an
     exhausted prefix is closed out with the empty letter, which may leave the
     verdict inconclusive.  With ``oracle_crosscheck`` the reference judges the
     word the monitor consumed: a decided verdict on a finite word never
     changes when the word is extended, so the unread rest cannot matter.
     """
+    verdict, trace, _word = _run_case(batches, transformation, formula, cfg)
+    return verdict, trace
+
+
+def _run_case(
+    batches: Iterable[Batch],
+    transformation: Transformation,
+    formula: Formula,
+    cfg: HarnessConfig,
+) -> Tuple[Verdict, Tuple[StepTrace, ...], list]:
+    """:func:`run_test_case`, also returning the consumed word."""
     monitor = Monitor(formula)
     state = transformation.initial
     word = []
-    for instant, batch in enumerate(prefix, 1):
-        if monitor.verdict is not None:
-            break
-        time_ms = time_of(instant, cfg)
-        try:
-            state, out = transformation.step(state, batch, time_ms)
-        except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
-            raise TransformationError(instant, exc) from exc
-        letter = IoLetter(batch, Batch(out), time_ms)
-        word.append((letter, time_ms))
-        try:
-            monitor.step(letter, time_ms)
-        except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
-            raise PredicateError(instant, exc) from exc
     if monitor.verdict is None:
-        monitor.finish()  # the empty letter calls no predicate
+        for instant, batch in enumerate(batches, 1):
+            batch = Batch(batch)
+            time_ms = time_of(instant, cfg)
+            try:
+                state, out = transformation.step(state, batch, time_ms)
+            except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
+                raise TransformationError(instant, exc) from exc
+            letter = IoLetter(batch, Batch(out), time_ms)
+            word.append((letter, time_ms))
+            try:
+                monitor.step(letter, time_ms)
+            except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
+                raise PredicateError(instant, exc) from exc
+            if monitor.verdict is not None:
+                break
+        else:
+            monitor.finish()  # the empty letter calls no predicate
     verdict = monitor.verdict
     assert verdict is not None
     if cfg.oracle_crosscheck:
@@ -240,7 +256,7 @@ def run_test_case(
             raise OracleMismatch(
                 f"stepwise verdict {verdict.symbol} != reference {expected.symbol}"
             )
-    return verdict, tuple(monitor.trace)
+    return verdict, tuple(monitor.trace), word
 
 
 # ---------------------------------------------------------------------------
@@ -299,12 +315,17 @@ def for_all_stream(
     """
 
     def run_case(index: int):
-        prefix = StreamPrefix(gen(case_rng(cfg.seed, index)))
+        batches = batches_of(gen, case_rng(cfg.seed, index))
         try:
-            verdict, trace = run_test_case(prefix, transformation, formula, cfg)
+            verdict, trace, word = _run_case(batches, transformation, formula, cfg)
         except CaseError as exc:
-            return prefix, None, (), exc
-        return prefix, verdict, trace, None
+            return None, None, exc
+        if verdict is not truth.FALSE:
+            return verdict, None, None
+        # The counterexample keeps the whole prefix: the batches read, then the rest.
+        prefix = StreamPrefix(chain((letter.input for letter, _t in word), batches))
+        failing_step = trace[-1].step if trace else 0
+        return verdict, Counterexample(index, prefix, trace, failing_step), None
 
     def results(run_wave):
         end = cfg.min_tests_ok + 1
@@ -319,7 +340,7 @@ def for_all_stream(
     threads = ThreadPoolExecutor(cfg.parallelism) if cfg.parallelism > 1 else nullcontext()
     with threads as pool:
         run_wave = map if pool is None else pool.map
-        for index, (prefix, verdict, trace, error) in results(run_wave):
+        for index, (verdict, refutation, error) in results(run_wave):
             cases += 1
             if error is not None:
                 errors = 1
@@ -331,8 +352,7 @@ def for_all_stream(
                 inconclusive += 1
             else:
                 failed = 1
-                failing_step = trace[-1].step if trace else 0
-                counterexample = Counterexample(index, prefix, trace, failing_step)
+                counterexample = refutation
                 break
     return PropertyReport(
         property_name=property_name,

@@ -124,6 +124,32 @@ def test_stateless_reports_pinned_apart_from_trace_sizes(seed):
     assert (cex["failing_step"], len(cex["prefix"]), digest) == STATELESS_REPORTS[seed]
 
 
+# Per example: a digest of the JSON reports at every seed in SEEDS, in that
+# order, taken before prefixes were pulled on demand.  Pulling only the
+# batches the monitor reads must not change a byte of any report, including
+# the full prefix a counterexample carries.
+EXAMPLE_REPORTS = {
+    "banning-stateful": "4121155f2203a728",
+    "banning-stateless": "021ef11624806158",
+    "counts-drain-to-zero": "cdb8f1fa41879f9a",
+    "hashtags-counted": "a4f3eef32d05b536",
+    "hashtags-extracted": "17b8452052283285",
+    "peak-implies-top": "7f85482936b2188c",
+    "top-hashtag-shift": "4384ef3c2a6e8083",
+    "top-hashtag-unique": "2aec2a1d02a39f12",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXAMPLE_REPORTS))
+def test_example_reports_pinned(name):
+    spec = EXAMPLES[name]
+    digest = hashlib.sha256()
+    for seed in sorted(SEEDS):
+        cfg = HarnessConfig(min_tests_ok=spec.min_tests_ok, seed=seed)
+        digest.update(harness.report_to_json(run_example(spec, cfg)).encode() + b"\n")
+    assert digest.hexdigest()[:16] == EXAMPLE_REPORTS[name]
+
+
 def test_counted_hashtags_window_decay():
     """The saturated count decays stepwise as the window slides past."""
     spec = EXAMPLES["hashtags-counted"]

@@ -1,5 +1,6 @@
 """Batch and stream-prefix generator combinators."""
 
+import itertools
 import random
 
 import pytest
@@ -172,3 +173,162 @@ def test_until_prefix_satisfies_the_matching_formula():
         prefix = run(gen.until(good, bad, 10), seed)
         word = [(batch, 100 * i) for i, batch in enumerate(prefix)]
         assert semantics.models(word, phi) is truth.TRUE
+
+
+class TestSharedImmutables:
+    def test_constructors_return_their_own_type_as_is(self):
+        batch = Batch([1, 2])
+        prefix = StreamPrefix([batch, Batch()])
+        assert Batch(batch) is batch
+        assert StreamPrefix(prefix) is prefix
+        assert StreamPrefix(prefix)[0] is batch
+
+    def test_other_iterables_still_convert(self):
+        assert type(Batch([1, 2])) is Batch and Batch([1, 2]) == (1, 2)
+        assert Batch(x for x in "ab") == ("a", "b")
+        assert Batch((1,)) == (1,) and type(Batch((1,))) is Batch
+        prefix = StreamPrefix([[1], (2, 3)])
+        assert prefix == ((1,), (2, 3))
+        assert all(type(batch) is Batch for batch in prefix)
+        assert StreamPrefix(b for b in [[4]]) == ((4,),)
+        assert type(StreamPrefix((Batch([5]),))) is StreamPrefix
+
+
+class _Eager:
+    """The prefix combinators as full-draw functions, as they were written
+    before batches were pulled on demand: the reference draw order."""
+
+    @staticmethod
+    def always(batch_gen, timeout):
+        return lambda rng: StreamPrefix(batch_gen(rng) for _ in range(timeout))
+
+    @staticmethod
+    def next_batch(batch_gen):
+        return lambda rng: StreamPrefix([EMPTY_BATCH, batch_gen(rng)])
+
+    @staticmethod
+    def eventually(batch_gen, timeout):
+        def g(rng):
+            k = rng.randint(1, timeout)
+            return StreamPrefix([EMPTY_BATCH] * (k - 1) + [batch_gen(rng)])
+
+        return g
+
+    @staticmethod
+    def until(first, second, timeout):
+        def g(rng):
+            k = rng.randint(1, timeout)
+            return StreamPrefix([first(rng) for _ in range(k - 1)] + [second(rng)])
+
+        return g
+
+    @staticmethod
+    def release(first, second, timeout):
+        def g(rng):
+            if rng.random() < 0.5:
+                return StreamPrefix(second(rng) for _ in range(timeout))
+            k = rng.randint(1, timeout)
+            batches = [second(rng) for _ in range(k)]
+            batches[k - 1] = Batch(tuple(first(rng)) + tuple(batches[k - 1]))
+            return StreamPrefix(batches)
+
+        return g
+
+    @staticmethod
+    def concat(first, second):
+        return lambda rng: StreamPrefix(tuple(first(rng)) + tuple(second(rng)))
+
+    @staticmethod
+    def superpose(first, second):
+        def g(rng):
+            a, b = first(rng), second(rng)
+            out = []
+            for i in range(max(len(a), len(b))):
+                left = a[i] if i < len(a) else EMPTY_BATCH
+                right = b[i] if i < len(b) else EMPTY_BATCH
+                out.append(Batch(tuple(left) + tuple(right)))
+            return StreamPrefix(out)
+
+        return g
+
+    @staticmethod
+    def repeat_concat(g, times):
+        def run_all(rng):
+            batches = []
+            for _ in range(times):
+                batches.extend(g(rng))
+            return StreamPrefix(batches)
+
+        return run_all
+
+
+def _list_batch(rng):
+    """A batch generator that returns a plain list, not a ``Batch``."""
+    return [rng.randint(1, 3)]
+
+
+def _combinator_zoo(ops):
+    """The same generator trees built from ``ops`` (``gen`` or ``_Eager``)."""
+    bg = gen.batch_of_n_to_m(1, 3, good_pair)
+    other = gen.batch_of_n(1, lambda rng: rng.random())
+    fixed = gen.constant(StreamPrefix([Batch(["a"]), Batch(["b"]), Batch(["c"])]))
+    lists = _list_batch
+    return [
+        ops.always(bg, 5),
+        ops.next_batch(bg),
+        ops.eventually(bg, 4),
+        ops.until(bg, other, 6),
+        ops.release(bg, other, 4),
+        ops.concat(ops.always(bg, 2), ops.eventually(other, 3)),
+        ops.superpose(ops.always(bg, 3), ops.until(other, bg, 5)),
+        ops.repeat_concat(ops.release(other, bg, 3), 3),
+        ops.repeat_concat(ops.superpose(ops.eventually(bg, 3), ops.next_batch(other)), 2),
+        ops.concat(ops.until(lists, bg, 3), ops.superpose(fixed, ops.always(lists, 4))),
+        ops.superpose(fixed, ops.concat(fixed, ops.release(lists, lists, 3))),
+        ops.concat(gen.one_of(ops.always(bg, 2), ops.eventually(other, 3)), fixed),
+        ops.repeat_concat(gen.mapped(ops.until(bg, other, 3), lambda p: p[::-1]), 3),
+        ops.concat(ops.concat(ops.next_batch(bg), fixed), ops.repeat_concat(fixed, 2)),
+    ]
+
+
+def _rngs():
+    for seed in range(100):
+        yield lambda seed=seed: random.Random(seed)
+    for value in (1, 2, 3):
+        yield lambda value=value: _FixedInt(value)
+
+
+def test_pulled_batches_follow_the_full_draw_order():
+    """Pulling batches draws exactly what a full draw did before batches were
+    pulled on demand: same batches, and the same rng state once drained."""
+    for lazy, eager in zip(_combinator_zoo(gen), _combinator_zoo(_Eager)):
+        assert isinstance(lazy, gen.PrefixGen)
+        for make_rng in _rngs():
+            rng, reference_rng = make_rng(), make_rng()
+            expected = eager(reference_rng)
+            assert StreamPrefix(lazy.batches(rng)) == expected
+            assert rng.getstate() == reference_rng.getstate()
+            assert lazy(make_rng()) == expected
+
+
+def test_a_partial_pull_is_a_prefix_of_the_full_draw():
+    for lazy in _combinator_zoo(gen):
+        for seed in range(20):
+            full = lazy(random.Random(seed))
+            for n in range(len(full) + 1):
+                head = itertools.islice(lazy.batches(random.Random(seed)), n)
+                assert StreamPrefix(head) == full[:n]
+
+
+def test_batches_of_plain_callables_draws_in_full():
+    drawn = []
+
+    def plain(rng):
+        drawn.append(rng.random())
+        return StreamPrefix([Batch([1]), Batch([2])])
+
+    batches = gen.batches_of(plain, random.Random(0))
+    assert len(drawn) == 1
+    assert list(batches) == [Batch([1]), Batch([2])]
+    lazy = gen.always(gen.batch_of_n(1, gen.constant(0)), 2)
+    assert list(gen.batches_of(lazy, random.Random(0))) == list(lazy(random.Random(0)))

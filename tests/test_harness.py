@@ -411,3 +411,90 @@ class TestReportJson:
         )
         assert report.errors == 1
         assert report_from_json(report_to_json(report)) == report
+
+
+class TestPulledBatches:
+    """The harness pulls a batch only while the monitor has no verdict."""
+
+    TEN = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 10)
+
+    @staticmethod
+    def counting(prefix_gen):
+        pulled = []
+
+        def batches(rng):
+            for batch in prefix_gen.batches(rng):
+                pulled.append(batch)
+                yield batch
+
+        return gen.PrefixGen(batches), pulled
+
+    def test_formula_decided_at_init_pulls_nothing(self):
+        counted, pulled = self.counting(self.TEN)
+        verdict, trace = run_test_case(
+            counted.batches(random.Random(0)), harness.map_elements(str), rt.TOP, CFG
+        )
+        assert verdict is truth.TRUE and trace == () and pulled == []
+        report = for_all_stream(counted, harness.map_elements(str), rt.TOP, CFG)
+        assert report.passed == CFG.min_tests_ok and pulled == []
+
+    def test_pulls_stop_at_the_deciding_step(self):
+        counted, pulled = self.counting(self.TEN)
+        verdict, _trace = run_test_case(
+            counted.batches(random.Random(0)),
+            harness.map_elements(str),
+            rt.Always(2, output_nonempty()),
+            CFG,
+        )
+        assert verdict is truth.TRUE and len(pulled) == 2
+        report = for_all_stream(
+            counted, harness.map_elements(str), rt.Always(2, output_nonempty()), CFG
+        )
+        assert report.passed == CFG.min_tests_ok
+        assert len(pulled) == 2 + 2 * CFG.min_tests_ok
+
+    def test_an_exhausted_prefix_is_read_in_full(self):
+        counted, pulled = self.counting(self.TEN)
+        verdict, trace = run_test_case(
+            counted.batches(random.Random(0)),
+            harness.map_elements(str),
+            rt.Always(12, output_nonempty()),
+            CFG,
+        )
+        assert verdict is truth.INCONCLUSIVE and len(pulled) == 10 and len(trace) == 11
+
+    @pytest.mark.parametrize("formula", [rt.BOTTOM, rt.Always(4, output_nonempty())])
+    def test_counterexample_carries_the_full_prefix(self, formula):
+        counted, pulled = self.counting(self.TEN)
+        report = for_all_stream(counted, harness.filter_elements(lambda x: False), formula, CFG)
+        cex = report.counterexample
+        assert report.failed == 1 and cex.case_index == 1
+        assert cex.prefix == self.TEN(harness.case_rng(CFG.seed, 1))
+        assert type(cex.prefix) is StreamPrefix and len(pulled) == 10
+
+    def test_subject_error_stops_pulling_at_the_failing_step(self):
+        def fails_third(state, batch, time_ms):
+            if time_ms == time_of(3, CFG):
+                raise RuntimeError("third instant")
+            return state, batch
+
+        counted, pulled = self.counting(self.TEN)
+        subject = harness.Transformation(None, fails_third)
+        report = for_all_stream(counted, subject, rt.Always(5, output_nonempty()), CFG)
+        assert report.errors == 1
+        assert report.error_message.startswith("case 1: transformation failed at step 3")
+        assert len(pulled) == 3
+
+    def test_predicate_error_stops_pulling_at_the_failing_step(self):
+        calls = []
+
+        def fails_second(_letter):
+            calls.append(1)
+            return 1 / (2 - len(calls))
+
+        counted, pulled = self.counting(self.TEN)
+        report = for_all_stream(
+            counted, harness.map_elements(str), rt.Always(5, rt.now(fails_second)), CFG
+        )
+        assert report.error_message.startswith("case 1: predicate failed at step 2")
+        assert len(pulled) == 2
