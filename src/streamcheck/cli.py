@@ -1,7 +1,8 @@
 """Command-line runner for the bundled example properties and scenario files.
 
 Exit codes: 0 when every executed example's outcome matches its expected
-outcome, 1 on a mismatch, 2 on usage errors.
+outcome, 1 on a mismatch, 2 on usage errors and on scenario files that
+cannot be read, parsed or evaluated.
 """
 
 from __future__ import annotations
@@ -18,6 +19,13 @@ from .harness import HarnessConfig
 DEFAULT_SEED = 42
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamcheck",
@@ -30,9 +38,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run one bundled example, or all of them")
     run.add_argument("name", help="example name, or 'all'")
     run.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    run.add_argument("--min-tests", type=int, default=None, help="override min passing cases")
-    run.add_argument("--batch-interval-ms", type=int, default=100)
-    run.add_argument("--parallelism", type=int, default=1)
+    run.add_argument(
+        "--min-tests", type=positive_int, default=None, help="override min passing cases"
+    )
+    run.add_argument("--batch-interval-ms", type=positive_int, default=100)
+    run.add_argument("--parallelism", type=positive_int, default=1)
     run.add_argument("--oracle", action="store_true", help="cross-check against the reference judge")
     run.add_argument("--verbose", action="store_true", help="print per-step traces")
     run.add_argument("--json", dest="json_path", default=None, help="write reports as JSON")
@@ -122,38 +132,8 @@ _PRED_BUILTINS = {
 def default_interpretation(phi: symbolic.SymFormula, word) -> symbolic.Interpretation:
     """Initial-model interpretation: nullary symbols denote themselves,
     with built-in arithmetic (`plus`) and ordering (`leq`)."""
-    symbols: set = set()
-
-    def collect_term(term: symbolic.Term) -> None:
-        if isinstance(term, symbolic.App):
-            if not term.args and term.symbol not in _ARITHMETIC:
-                symbols.add(term.symbol)
-            for arg in term.args:
-                collect_term(arg)
-
-    def collect(formula: symbolic.SymFormula) -> None:
-        if isinstance(formula, (symbolic.Pred,)):
-            for arg in formula.args:
-                collect_term(arg)
-        elif isinstance(formula, symbolic.Eq):
-            collect_term(formula.left)
-            collect_term(formula.right)
-        elif isinstance(formula, (symbolic.Not, symbolic.Next, symbolic.Consume)):
-            collect(formula.body)
-        elif isinstance(formula, (symbolic.And, symbolic.Or, symbolic.Implies)):
-            collect(formula.left)
-            collect(formula.right)
-        elif isinstance(formula, (symbolic.Eventually, symbolic.Always)):
-            collect_term(formula.timeout)
-            collect(formula.body)
-        elif isinstance(formula, (symbolic.Until, symbolic.Release)):
-            collect_term(formula.timeout)
-            collect(formula.left)
-            collect(formula.right)
-
-    collect(phi)
-    for term, _time in word:
-        collect_term(term)
+    symbols = symbolic.constants(phi).union(*(symbolic.term_constants(term) for term, _ in word))
+    symbols -= _ARITHMETIC.keys()
     functions = {name: (lambda name=name: name) for name in sorted(symbols)}
     functions.update(_ARITHMETIC)
     return symbolic.Interpretation(
@@ -173,15 +153,19 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         return 2
 
     interp = default_interpretation(formula, word)
-    monitor = runtime.Monitor(symbolic.compile_formula(formula, interp))
-    for term, time in word:
-        if monitor.verdict is not None:
-            break
-        monitor.step(term, time)
-    verdict = monitor.finish()
+    try:
+        monitor = runtime.Monitor(symbolic.compile_formula(formula, interp))
+        for term, time in word:
+            if monitor.verdict is not None:
+                break
+            monitor.step(term, time)
+        verdict = monitor.finish()
+        reference = symbolic.judge(word, 1, formula, interp) if args.oracle else None
+    except (symbolic.SymbolicError, runtime.FormulaError, RecursionError) as exc:
+        print(f"cannot evaluate {args.path}: {exc}", file=sys.stderr)
+        return 2
     print(f"{args.path}: verdict={verdict.symbol} expected={expected.symbol}")
-    if args.oracle:
-        reference = symbolic.judge(word, 1, formula, interp)
+    if reference is not None:
         print(f"{args.path}: reference={reference.symbol}")
         if reference is not verdict:
             print("reference judgment disagrees with the stepwise monitor", file=sys.stderr)

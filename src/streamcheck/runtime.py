@@ -12,7 +12,8 @@ instant.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from . import truth
 from .truth import Verdict
@@ -134,6 +135,77 @@ def _check_timeout(t: int) -> None:
 TOP = Solved(truth.TRUE)
 BOTTOM = Solved(truth.FALSE)
 UNDECIDED = Solved(truth.INCONCLUSIVE)
+
+
+# ---------------------------------------------------------------------------
+# Walking formulas without recursion.  Eager next forms nest one ``Next`` per
+# instant, so a timeout of a few hundred already exceeds Python's recursion
+# limit; walkers that are folds run on an explicit stack instead.
+
+
+def no_children(phi: Any) -> Tuple[Any, ...]:
+    return ()
+
+
+def body_child(phi: Any) -> Tuple[Any, ...]:
+    return (phi.body,)
+
+
+pair_children = attrgetter("left", "right")
+
+CHILDREN: Dict[type, Callable[[Any], Tuple[Any, ...]]] = {
+    **dict.fromkeys((Solved, Consume), no_children),
+    **dict.fromkeys((Not, Next, Eventually, Always), body_child),
+    **dict.fromkeys((And, Or, Implies, Until, Release), pair_children),
+}
+_TIMED = (Eventually, Always, Until, Release)
+
+
+def fold(phi: Any, children: Mapping[type, Callable[[Any], Sequence[Any]]], visit: Callable) -> Any:
+    """Fold a formula tree bottom-up (a catamorphism) on an explicit stack.
+
+    ``children`` maps a node type to the function listing a node's
+    subformulas; a type it lacks is a leaf.  It is called when the walk
+    enters a node, so a walker can check the node there, before any of its
+    subformulas.  ``visit(node, results)`` gets the results of the
+    subformulas, left to right.  The stack holds one frame per pending
+    ancestor: memory grows with the depth of the tree, not with its size.
+    """
+    stack: list = []
+    node = phi
+    while True:
+        kids = children.get(type(node), no_children)(node)
+        if kids:
+            stack.append((node, kids, []))
+            node = kids[0]
+            continue
+        value = visit(node, ())
+        while stack:
+            parent, kids, results = stack[-1]
+            results.append(value)
+            if len(results) < len(kids):
+                node = kids[len(results)]
+                break
+            stack.pop()
+            value = visit(parent, results)
+        if not stack:
+            return value
+
+
+def join_text(rope: Any) -> str:
+    """Concatenate a rope, a string or a tuple of ropes, left to right.
+
+    Text folds return ropes: joining the operands' strings at every level
+    would copy the text of a deep next form once per level.
+    """
+    out, stack = [], [rope]
+    while stack:
+        part = stack.pop()
+        if isinstance(part, str):
+            out.append(part)
+        else:
+            stack.extend(reversed(part))
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +347,11 @@ def _check_degenerate(t: int) -> None:
 # Next-form transformations
 
 
+_NEXT_FORM_TYPES = frozenset((Solved, Consume, Not, Next, And, Or, Implies))
+
+
 def is_next_form(phi: Formula) -> bool:
-    if isinstance(phi, (Solved, Consume)):
-        return True
-    if isinstance(phi, (Not, Next)):
-        return is_next_form(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return is_next_form(phi.left) and is_next_form(phi.right)
-    return False
+    return fold(phi, CHILDREN, lambda node, kids: type(node) in _NEXT_FORM_TYPES and all(kids))
 
 
 # Memo keyed by node identity; keeping the key object in the entry pins its
@@ -348,69 +417,66 @@ def _unfold(phi: Formula) -> Formula:
     raise FormulaError(f"cannot unfold {phi!r}")
 
 
-def unfold_fixpoint(phi: Formula) -> Formula:
-    """Apply :func:`unfold` through every ``Next`` body until none remain folded."""
-    phi = unfold(phi)
-    if isinstance(phi, (Solved, Consume)):
+def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: Sequence[Any]) -> Any:
+    """Eager next form of one timed operator, in either formula algebra.
+
+    ``kind`` is the operator's class name, the same in both algebras, and
+    ``operands`` are the next forms of its subformulas, ``(body,)`` or
+    ``(left, right)``.  ``algebra`` gives the algebra's or, and, next, true
+    and false.  The chain is right-nested, matching the fixpoint of the lazy
+    unfolding.  A zero window is decided without its operands.
+    """
+    or_, and_, next_, true, false = algebra
+    if timeout == 0:
+        return false if kind in ("Eventually", "Until") else true
+    left, right = operands[0], operands[-1]
+    acc = right
+    for _ in range(timeout - 1):
+        later = next_(acc)
+        if kind == "Eventually":
+            acc = or_(right, later)
+        elif kind == "Always":
+            acc = and_(right, later)
+        elif kind == "Until":
+            acc = or_(right, and_(left, later))
+        else:
+            acc = or_(and_(left, right), and_(right, later))
+    return acc
+
+
+_ALGEBRA = (mk_or, mk_and, mk_next, TOP, BOTTOM)
+_REBUILD = {Not: mk_not, And: mk_and, Or: mk_or, Implies: mk_implies, Next: mk_next}
+
+
+def _to_next_form_node(phi: Formula, kids: Sequence[Formula]) -> Formula:
+    kind = type(phi)
+    if kind in _REBUILD:
+        return _REBUILD[kind](*kids)
+    if kind is Solved or kind is Consume:
         return phi
-    if isinstance(phi, Not):
-        return mk_not(unfold_fixpoint(phi.body))
-    if isinstance(phi, And):
-        return mk_and(unfold_fixpoint(phi.left), unfold_fixpoint(phi.right))
-    if isinstance(phi, Or):
-        return mk_or(unfold_fixpoint(phi.left), unfold_fixpoint(phi.right))
-    if isinstance(phi, Implies):
-        return mk_implies(unfold_fixpoint(phi.left), unfold_fixpoint(phi.right))
-    if isinstance(phi, Next):
-        return mk_next(unfold_fixpoint(phi.body))
-    raise FormulaError(f"unexpected node after unfold: {phi!r}")
+    if kind in _TIMED:
+        return next_form_chain(kind.__name__, phi.timeout, kids, _ALGEBRA)
+    raise FormulaError(f"cannot transform {phi!r}")
 
 
 def to_next_form(phi: Formula) -> Formula:
-    """Eagerly expand every timed operator into next form.
+    """Eagerly expand every timed operator into next form."""
+    return fold(phi, CHILDREN, _to_next_form_node)
 
-    Chains are built right-nested, matching the fixpoint of the lazy
-    unfolding, so both routes can be compared structurally.
-    """
-    if isinstance(phi, (Solved, Consume)):
-        return phi
-    if isinstance(phi, Not):
-        return mk_not(to_next_form(phi.body))
-    if isinstance(phi, And):
-        return mk_and(to_next_form(phi.left), to_next_form(phi.right))
-    if isinstance(phi, Or):
-        return mk_or(to_next_form(phi.left), to_next_form(phi.right))
-    if isinstance(phi, Implies):
-        return mk_implies(to_next_form(phi.left), to_next_form(phi.right))
-    if isinstance(phi, Next):
-        return mk_next(to_next_form(phi.body))
-    if isinstance(phi, Eventually):
-        body = to_next_form(phi.body)
-        acc = body
-        for _ in range(phi.timeout - 1):
-            acc = mk_or(body, mk_next(acc))
-        return acc
-    if isinstance(phi, Always):
-        body = to_next_form(phi.body)
-        acc = body
-        for _ in range(phi.timeout - 1):
-            acc = mk_and(body, mk_next(acc))
-        return acc
-    if isinstance(phi, Until):
-        left = to_next_form(phi.left)
-        right = to_next_form(phi.right)
-        acc = right
-        for _ in range(phi.timeout - 1):
-            acc = mk_or(right, mk_and(left, mk_next(acc)))
-        return acc
-    if isinstance(phi, Release):
-        left = to_next_form(phi.left)
-        right = to_next_form(phi.right)
-        acc = right
-        for _ in range(phi.timeout - 1):
-            acc = mk_or(mk_and(left, right), mk_and(right, mk_next(acc)))
-        return acc
-    raise FormulaError(f"cannot transform {phi!r}")
+
+def _unfolded_children(phi: Formula) -> Tuple[Formula, ...]:
+    phi = unfold(phi)
+    return CHILDREN[type(phi)](phi)
+
+
+def unfold_fixpoint(phi: Formula) -> Formula:
+    """Apply :func:`unfold` through every ``Next`` body until none remain folded."""
+    # The memo makes the second unfold of each node a lookup.
+    return fold(
+        phi,
+        dict.fromkeys(CHILDREN, _unfolded_children),
+        lambda node, kids: _to_next_form_node(unfold(node), kids),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -528,69 +594,72 @@ def _merge_chain(phi: Formula) -> Formula:
 # Safe word length
 
 
-def safe_word_length(phi: Formula) -> int:
-    """Word length guaranteeing a decided verdict; defined only for static consumers."""
-    if isinstance(phi, Solved):
-        return 0
-    if isinstance(phi, Not):
-        return safe_word_length(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return max(safe_word_length(phi.left), safe_word_length(phi.right))
-    if isinstance(phi, Next):
-        return safe_word_length(phi.body) + 1
-    if isinstance(phi, Consume):
+def _safe_length_node(phi: Formula, kids: Sequence[int]) -> int:
+    kind = type(phi)
+    if kind is Consume:
         if phi.static_depth is None:
             raise SafeLengthUndefined(
                 f"safe word length undefined: dynamic consumer {phi.label!r}"
             )
         return phi.static_depth
-    if isinstance(phi, (Eventually, Always)):
-        return safe_word_length(phi.body) + (phi.timeout - 1)
-    if isinstance(phi, (Until, Release)):
-        return max(safe_word_length(phi.left), safe_word_length(phi.right)) + (phi.timeout - 1)
-    raise FormulaError(f"cannot size {phi!r}")
+    if kind not in CHILDREN:
+        raise FormulaError(f"cannot size {phi!r}")
+    length = max(kids, default=0)
+    if kind is Next:
+        return length + 1
+    if kind in _TIMED:
+        return length + (phi.timeout - 1)
+    return length
+
+
+def safe_word_length(phi: Formula) -> int:
+    """Word length guaranteeing a decided verdict; defined only for static consumers."""
+    return fold(phi, CHILDREN, _safe_length_node)
 
 
 def size(phi: Formula) -> int:
     """Node count, reported in step traces."""
-    if isinstance(phi, (Solved, Consume)):
-        return 1
-    if isinstance(phi, (Not, Next)):
-        return 1 + size(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return 1 + size(phi.left) + size(phi.right)
-    if isinstance(phi, (Eventually, Always)):
-        return 1 + size(phi.body)
-    if isinstance(phi, (Until, Release)):
-        return 1 + size(phi.left) + size(phi.right)
-    raise FormulaError(f"cannot size {phi!r}")
+    count = 0
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        kids = CHILDREN.get(type(node))
+        if kids is None:
+            raise FormulaError(f"cannot size {node!r}")
+        stack.extend(kids(node))
+        count += 1
+    return count
+
+
+# The text before, between and after the operands; ``{}`` is the timeout.
+_RENDER = {
+    Not: ("!", ""),
+    And: ("(", " & ", ")"),
+    Or: ("(", " | ", ")"),
+    Implies: ("(", " -> ", ")"),
+    Next: ("X", ""),
+    Eventually: ("F[{}]", ""),
+    Always: ("G[{}]", ""),
+    Until: ("(", " U[{}] ", ")"),
+    Release: ("(", " R[{}] ", ")"),
+}
+
+
+def _render_node(phi: Formula, kids: Sequence[Any]) -> Any:
+    kind = type(phi)
+    if kind is Solved:
+        return phi.value.symbol
+    if kind is Consume:
+        return f"<{phi.label}>"
+    if kind not in _RENDER:
+        raise FormulaError(f"cannot render {phi!r}")
+    first, *rest = (text.format(getattr(phi, "timeout", None)) for text in _RENDER[kind])
+    return (first, *(part for pair in zip(kids, rest) for part in pair))
 
 
 def render(phi: Formula) -> str:
     """Compact textual rendering, for traces and debugging."""
-    if isinstance(phi, Solved):
-        return phi.value.symbol
-    if isinstance(phi, Not):
-        return f"!{render(phi.body)}"
-    if isinstance(phi, And):
-        return f"({render(phi.left)} & {render(phi.right)})"
-    if isinstance(phi, Or):
-        return f"({render(phi.left)} | {render(phi.right)})"
-    if isinstance(phi, Implies):
-        return f"({render(phi.left)} -> {render(phi.right)})"
-    if isinstance(phi, Next):
-        return f"X{render(phi.body)}"
-    if isinstance(phi, Consume):
-        return f"<{phi.label}>"
-    if isinstance(phi, Eventually):
-        return f"F[{phi.timeout}]{render(phi.body)}"
-    if isinstance(phi, Always):
-        return f"G[{phi.timeout}]{render(phi.body)}"
-    if isinstance(phi, Until):
-        return f"({render(phi.left)} U[{phi.timeout}] {render(phi.right)})"
-    if isinstance(phi, Release):
-        return f"({render(phi.left)} R[{phi.timeout}] {render(phi.right)})"
-    raise FormulaError(f"cannot render {phi!r}")
+    return join_text(fold(phi, CHILDREN, _render_node))
 
 
 # ---------------------------------------------------------------------------

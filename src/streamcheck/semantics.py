@@ -56,6 +56,15 @@ def release_fold(
     return acc
 
 
+# The folds by operator class name, which is the same in both formula algebras.
+WINDOW_FOLDS = {
+    "Eventually": eventually_fold,
+    "Always": always_fold,
+    "Until": until_fold,
+    "Release": release_fold,
+}
+
+
 def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
     """Verdict of ``phi`` at the 1-based ``position`` of ``word``."""
     if position < 1:
@@ -78,22 +87,11 @@ def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
             return judge(word, position + 1, phi.consumer(value, time))
         return truth.INCONCLUSIVE
     if isinstance(phi, (runtime.Eventually, runtime.Always, runtime.Until, runtime.Release)):
+        fold = WINDOW_FOLDS[type(phi).__name__]
         window = range(position, position + phi.timeout)
-        if isinstance(phi, runtime.Eventually):
-            return eventually_fold(window, lambda k: judge(word, k, phi.body))
-        if isinstance(phi, runtime.Always):
-            return always_fold(window, lambda k: judge(word, k, phi.body))
-        if isinstance(phi, runtime.Until):
-            return until_fold(
-                window,
-                lambda k: judge(word, k, phi.left),
-                lambda k: judge(word, k, phi.right),
-            )
-        return release_fold(
-            window,
-            lambda k: judge(word, k, phi.left),
-            lambda k: judge(word, k, phi.right),
-        )
+        if isinstance(phi, (runtime.Until, runtime.Release)):
+            return fold(window, lambda k: judge(word, k, phi.left), lambda k: judge(word, k, phi.right))
+        return fold(window, lambda k: judge(word, k, phi.body))
     raise runtime.FormulaError(f"cannot judge {phi!r}")
 
 

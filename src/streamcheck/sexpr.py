@@ -20,9 +20,9 @@ applications; integers are natural-number literals.
 from __future__ import annotations
 
 import re
-from typing import List, Tuple, Union
+from typing import Any, Callable, List, Tuple, Union
 
-from . import symbolic
+from . import runtime, symbolic
 from .symbolic import App, Lit, SymFormula, Term, Var
 from .truth import Verdict
 
@@ -34,25 +34,23 @@ class SexprError(Exception):
 _TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _INT_RE = re.compile(r"^-?\d+$")
 
-_RESERVED = {
-    "true",
-    "false",
-    "not",
-    "and",
-    "or",
-    "implies",
-    "next",
-    "eventually",
-    "always",
-    "until",
-    "release",
-    "consume",
-    "=",
-    "word",
-    "scenario",
-    "formula",
-    "expect",
+# Head of each form, with its class, its number of leading terms and its
+# number of subformulas.  Parsing and formatting both read this table.
+_FORMS = {
+    "=": (symbolic.Eq, 2, 0),
+    "not": (symbolic.Not, 0, 1),
+    "and": (symbolic.And, 0, 2),
+    "or": (symbolic.Or, 0, 2),
+    "implies": (symbolic.Implies, 0, 2),
+    "next": (symbolic.Next, 0, 1),
+    "eventually": (symbolic.Eventually, 1, 1),
+    "always": (symbolic.Always, 1, 1),
+    "until": (symbolic.Until, 1, 2),
+    "release": (symbolic.Release, 1, 2),
 }
+_HEADS = {kind: head for head, (kind, _, _) in _FORMS.items()}
+_HEADS[symbolic.Consume] = "consume"
+_RESERVED = {*_FORMS, "true", "false", "consume", "word", "scenario", "formula", "expect"}
 
 Node = Union[str, int, List["Node"]]
 
@@ -89,6 +87,8 @@ def _parse(tokens: List[str], pos: int) -> Tuple[Node, int]:
     if token == ")":
         raise SexprError("unexpected ')'")
     if _INT_RE.match(token):
+        if token.startswith("-"):
+            raise SexprError(f"literals are natural numbers, got {token}")
         return int(token), pos + 1
     return token, pos + 1
 
@@ -119,27 +119,10 @@ def formula_from_node(node: Node) -> SymFormula:
     if not isinstance(node, list) or not node or not isinstance(node[0], str):
         raise SexprError(f"cannot read formula from {node!r}")
     head, *rest = node
-    if head == "=":
-        _arity(node, 2)
-        return symbolic.Eq(term_from_node(rest[0]), term_from_node(rest[1]))
-    if head == "not":
-        _arity(node, 1)
-        return symbolic.Not(formula_from_node(rest[0]))
-    if head in ("and", "or", "implies"):
-        _arity(node, 2)
-        cls = {"and": symbolic.And, "or": symbolic.Or, "implies": symbolic.Implies}[head]
-        return cls(formula_from_node(rest[0]), formula_from_node(rest[1]))
-    if head == "next":
-        _arity(node, 1)
-        return symbolic.Next(formula_from_node(rest[0]))
-    if head in ("eventually", "always"):
-        _arity(node, 2)
-        cls = {"eventually": symbolic.Eventually, "always": symbolic.Always}[head]
-        return cls(term_from_node(rest[0]), formula_from_node(rest[1]))
-    if head in ("until", "release"):
-        _arity(node, 3)
-        cls = {"until": symbolic.Until, "release": symbolic.Release}[head]
-        return cls(term_from_node(rest[0]), formula_from_node(rest[1]), formula_from_node(rest[2]))
+    if head in _FORMS:
+        kind, terms, formulas = _FORMS[head]
+        _arity(node, terms + formulas)
+        return kind(*map(term_from_node, rest[:terms]), *map(formula_from_node, rest[terms:]))
     if head == "consume":
         _arity(node, 3)
         return symbolic.Consume(_as_var(rest[0]), _as_var(rest[1]), formula_from_node(rest[2]))
@@ -157,7 +140,10 @@ def word_from_node(node: Node) -> List[Tuple[Term, int]]:
             raise SexprError(f"letter must be (term time), got {item!r}")
         if item[1] < 0 or (letters and item[1] < letters[-1][1]):
             raise SexprError("timestamps must be non-negative and non-decreasing")
-        letters.append((term_from_node(item[0]), item[1]))
+        term = term_from_node(item[0])
+        if symbolic.term_free_vars(term):
+            raise SexprError(f"letter must be a closed term, got {item[0]!r}")
+        letters.append((term, item[1]))
     return letters
 
 
@@ -184,11 +170,19 @@ def scenario_from_node(node: Node) -> Tuple[SymFormula, List[Tuple[Term, int]], 
 
 
 def parse_formula(text: str) -> SymFormula:
-    return formula_from_node(parse_node(text))
+    return _read(text, formula_from_node)
 
 
 def parse_scenario(text: str) -> Tuple[SymFormula, List[Tuple[Term, int]], Verdict]:
-    return scenario_from_node(parse_node(text))
+    return _read(text, scenario_from_node)
+
+
+def _read(text: str, build: Callable[[Node], Any]) -> Any:
+    # The reader and the formula builder recurse once per nesting level.
+    try:
+        return build(parse_node(text))
+    except RecursionError:
+        raise SexprError("expression nested too deeply") from None
 
 
 def _arity(node: List[Node], n: int) -> None:
@@ -212,43 +206,23 @@ def format_term(term: Term) -> str:
     raise SexprError(f"cannot format term {term!r}")
 
 
-def format_formula(phi: SymFormula) -> str:
-    if isinstance(phi, symbolic.TrueFormula):
+def _format_node(phi: SymFormula, kids: List[Any]) -> Any:
+    kind = type(phi)
+    if kind is symbolic.TrueFormula:
         return "true"
-    if isinstance(phi, symbolic.FalseFormula):
+    if kind is symbolic.FalseFormula:
         return "false"
-    if isinstance(phi, symbolic.Pred):
-        inner = " ".join(format_term(a) for a in phi.args)
-        return f"({phi.name} {inner})" if inner else f"({phi.name})"
-    if isinstance(phi, symbolic.Eq):
-        return f"(= {format_term(phi.left)} {format_term(phi.right)})"
-    if isinstance(phi, symbolic.Not):
-        return f"(not {format_formula(phi.body)})"
-    if isinstance(phi, symbolic.And):
-        return f"(and {format_formula(phi.left)} {format_formula(phi.right)})"
-    if isinstance(phi, symbolic.Or):
-        return f"(or {format_formula(phi.left)} {format_formula(phi.right)})"
-    if isinstance(phi, symbolic.Implies):
-        return f"(implies {format_formula(phi.left)} {format_formula(phi.right)})"
-    if isinstance(phi, symbolic.Next):
-        return f"(next {format_formula(phi.body)})"
-    if isinstance(phi, symbolic.Eventually):
-        return f"(eventually {format_term(phi.timeout)} {format_formula(phi.body)})"
-    if isinstance(phi, symbolic.Always):
-        return f"(always {format_term(phi.timeout)} {format_formula(phi.body)})"
-    if isinstance(phi, symbolic.Until):
-        return (
-            f"(until {format_term(phi.timeout)} "
-            f"{format_formula(phi.left)} {format_formula(phi.right)})"
-        )
-    if isinstance(phi, symbolic.Release):
-        return (
-            f"(release {format_term(phi.timeout)} "
-            f"{format_formula(phi.left)} {format_formula(phi.right)})"
-        )
-    if isinstance(phi, symbolic.Consume):
-        return f"(consume ?{phi.var} ?{phi.time_var} {format_formula(phi.body)})"
-    raise SexprError(f"cannot format formula {phi!r}")
+    head = phi.name if kind is symbolic.Pred else _HEADS.get(kind)
+    if head is None:
+        raise SexprError(f"cannot format formula {phi!r}")
+    words = [head, *map(format_term, symbolic.node_terms(phi))]
+    if kind is symbolic.Consume:
+        words += [f"?{phi.var}", f"?{phi.time_var}"]
+    return ("(" + " ".join(words), *(part for kid in kids for part in (" ", kid)), ")")
+
+
+def format_formula(phi: SymFormula) -> str:
+    return runtime.join_text(runtime.fold(phi, symbolic.CHILDREN, _format_node))
 
 
 def format_word(word: List[Tuple[Term, int]]) -> str:

@@ -196,8 +196,27 @@ def release(timeout: TermLike, left: SymFormula, right: SymFormula) -> Release:
     return Release(as_term(timeout), left, right)
 
 
+_TIMED = (Eventually, Always, Until, Release)
+
+# Subformulas of each node, for :func:`runtime.fold`.
+CHILDREN = {
+    **dict.fromkeys((TrueFormula, FalseFormula, Pred, Eq), runtime.no_children),
+    **dict.fromkeys((Not, Next, Consume, Eventually, Always), runtime.body_child),
+    **dict.fromkeys((And, Or, Implies, Until, Release), runtime.pair_children),
+}
+
+
+def node_terms(phi: SymFormula) -> Tuple[Term, ...]:
+    """The terms a node holds itself: predicate arguments, equality sides or a timeout."""
+    if isinstance(phi, Pred):
+        return phi.args
+    if isinstance(phi, Eq):
+        return (phi.left, phi.right)
+    return (phi.timeout,) if isinstance(phi, _TIMED) else ()
+
+
 # ---------------------------------------------------------------------------
-# Free variables and substitution
+# Free variables, constants and substitution
 
 
 def term_free_vars(term: Term) -> Set[str]:
@@ -211,93 +230,103 @@ def term_free_vars(term: Term) -> Set[str]:
     return set()
 
 
+def node_free_vars(phi: SymFormula, kid_vars: Sequence[Set[str]]) -> Set[str]:
+    """Free variables of ``phi``, given those of its subformulas."""
+    kind = type(phi)
+    if kind is Consume:
+        return kid_vars[0] - {phi.var, phi.time_var}
+    if kind not in CHILDREN:
+        raise SymbolicError(f"unknown formula {phi!r}")
+    out = set().union(*kid_vars)
+    for term in node_terms(phi):
+        out |= term_free_vars(term)
+    return out
+
+
 def free_vars(phi: SymFormula) -> Set[str]:
     """Free variables, including those appearing inside timeout terms."""
-    if isinstance(phi, (TrueFormula, FalseFormula)):
+    return runtime.fold(phi, CHILDREN, node_free_vars)
+
+
+def term_constants(term: Term) -> Set[str]:
+    """Nullary function symbols of a term."""
+    if not isinstance(term, App):
         return set()
-    if isinstance(phi, Pred):
-        out: Set[str] = set()
-        for arg in phi.args:
-            out |= term_free_vars(arg)
-        return out
-    if isinstance(phi, Eq):
-        return term_free_vars(phi.left) | term_free_vars(phi.right)
-    if isinstance(phi, (Not, Next)):
-        return free_vars(phi.body)
-    if isinstance(phi, (And, Or, Implies)):
-        return free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, (Eventually, Always)):
-        return term_free_vars(phi.timeout) | free_vars(phi.body)
-    if isinstance(phi, (Until, Release)):
-        return term_free_vars(phi.timeout) | free_vars(phi.left) | free_vars(phi.right)
-    if isinstance(phi, Consume):
-        return free_vars(phi.body) - {phi.var, phi.time_var}
-    raise SymbolicError(f"unknown formula {phi!r}")
+    if not term.args:
+        return {term.symbol}
+    return set().union(*map(term_constants, term.args))
 
 
-def is_closed(phi: SymFormula) -> bool:
-    return not free_vars(phi)
+def constants(phi: SymFormula) -> Set[str]:
+    """Nullary function symbols of a formula, timeout terms included."""
+    found: Set[str] = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        for term in node_terms(node):
+            found |= term_constants(term)
+        stack.extend(CHILDREN.get(type(node), runtime.no_children)(node))
+    return found
 
 
-def substitute_term(term: Term, var: str, replacement: Term) -> Term:
+def substitute_term(term: Term, bindings: Mapping[str, Term]) -> Term:
     if isinstance(term, Var):
-        return replacement if term.name == var else term
+        return bindings.get(term.name, term)
     if isinstance(term, App):
-        return App(term.symbol, tuple(substitute_term(a, var, replacement) for a in term.args))
+        return App(term.symbol, tuple(substitute_term(a, bindings) for a in term.args))
     return term
 
 
-def substitute(phi: SymFormula, var: str, replacement: Term) -> SymFormula:
-    """Replace free occurrences of ``var`` by the closed term ``replacement``.
+def substitute(phi: SymFormula, bindings: Mapping[str, Term]) -> SymFormula:
+    """Replace free occurrences of each bound name by its closed term, in one walk.
 
-    Occurrences shadowed by a consume rebinding the same name are untouched.
-    Timeout terms participate in the substitution.
+    A consume rebinding a name shields its body from that name's
+    replacement.  Timeout terms participate in the substitution.  A firing
+    consume binds ``{time_var: Lit(time), var: letter}``: when both binders
+    share a name, the letter wins.
     """
     if isinstance(phi, (TrueFormula, FalseFormula)):
         return phi
     if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(substitute_term(a, var, replacement) for a in phi.args))
+        return Pred(phi.name, tuple(substitute_term(a, bindings) for a in phi.args))
     if isinstance(phi, Eq):
-        return Eq(
-            substitute_term(phi.left, var, replacement),
-            substitute_term(phi.right, var, replacement),
-        )
+        return Eq(substitute_term(phi.left, bindings), substitute_term(phi.right, bindings))
     if isinstance(phi, Not):
-        return Not(substitute(phi.body, var, replacement))
+        return Not(substitute(phi.body, bindings))
     if isinstance(phi, And):
-        return And(substitute(phi.left, var, replacement), substitute(phi.right, var, replacement))
+        return And(substitute(phi.left, bindings), substitute(phi.right, bindings))
     if isinstance(phi, Or):
-        return Or(substitute(phi.left, var, replacement), substitute(phi.right, var, replacement))
+        return Or(substitute(phi.left, bindings), substitute(phi.right, bindings))
     if isinstance(phi, Implies):
-        return Implies(
-            substitute(phi.left, var, replacement), substitute(phi.right, var, replacement)
-        )
+        return Implies(substitute(phi.left, bindings), substitute(phi.right, bindings))
     if isinstance(phi, Next):
-        return Next(substitute(phi.body, var, replacement))
+        return Next(substitute(phi.body, bindings))
     if isinstance(phi, Eventually):
-        return Eventually(
-            substitute_term(phi.timeout, var, replacement), substitute(phi.body, var, replacement)
-        )
+        return Eventually(substitute_term(phi.timeout, bindings), substitute(phi.body, bindings))
     if isinstance(phi, Always):
-        return Always(
-            substitute_term(phi.timeout, var, replacement), substitute(phi.body, var, replacement)
-        )
+        return Always(substitute_term(phi.timeout, bindings), substitute(phi.body, bindings))
     if isinstance(phi, Until):
         return Until(
-            substitute_term(phi.timeout, var, replacement),
-            substitute(phi.left, var, replacement),
-            substitute(phi.right, var, replacement),
+            substitute_term(phi.timeout, bindings),
+            substitute(phi.left, bindings),
+            substitute(phi.right, bindings),
         )
     if isinstance(phi, Release):
         return Release(
-            substitute_term(phi.timeout, var, replacement),
-            substitute(phi.left, var, replacement),
-            substitute(phi.right, var, replacement),
+            substitute_term(phi.timeout, bindings),
+            substitute(phi.left, bindings),
+            substitute(phi.right, bindings),
         )
     if isinstance(phi, Consume):
-        if var in (phi.var, phi.time_var):
-            return phi
-        return Consume(phi.var, phi.time_var, substitute(phi.body, var, replacement))
+        if phi.var in bindings or phi.time_var in bindings:
+            bindings = {
+                name: term
+                for name, term in bindings.items()
+                if name != phi.var and name != phi.time_var
+            }
+            if not bindings:
+                return phi
+        return Consume(phi.var, phi.time_var, substitute(phi.body, bindings))
     raise SymbolicError(f"unknown formula {phi!r}")
 
 
@@ -419,30 +448,18 @@ def judge(
         if position > len(word):
             return truth.INCONCLUSIVE
         letter, time = word[position - 1]
-        bound = substitute(substitute(phi.body, phi.var, letter), phi.time_var, Lit(time))
+        bound = substitute(phi.body, {phi.time_var: Lit(time), phi.var: letter})
         return judge(word, position + 1, bound, interp, relaxed)
-    if isinstance(phi, (Eventually, Always, Until, Release)):
-        t = _eval_timeout(phi.timeout, interp)
-        window = range(position, position + t)
-        if isinstance(phi, Eventually):
-            return semantics.eventually_fold(
-                window, lambda k: judge(word, k, phi.body, interp, relaxed)
-            )
-        if isinstance(phi, Always):
-            return semantics.always_fold(
-                window, lambda k: judge(word, k, phi.body, interp, relaxed)
-            )
-        if isinstance(phi, Until):
-            return semantics.until_fold(
+    if isinstance(phi, _TIMED):
+        fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+        window = range(position, position + _eval_timeout(phi.timeout, interp))
+        if isinstance(phi, (Until, Release)):
+            return fold(
                 window,
                 lambda k: judge(word, k, phi.left, interp, relaxed),
                 lambda k: judge(word, k, phi.right, interp, relaxed),
             )
-        return semantics.release_fold(
-            window,
-            lambda k: judge(word, k, phi.left, interp, relaxed),
-            lambda k: judge(word, k, phi.right, interp, relaxed),
-        )
+        return fold(window, lambda k: judge(word, k, phi.body, interp, relaxed))
     raise SymbolicError(f"unknown formula {phi!r}")
 
 
@@ -454,35 +471,32 @@ def models(word: Word, phi: SymFormula, interp: Interpretation, relaxed: bool = 
 # Safe word length at the symbolic level (needed to declare static depths)
 
 
+def _closed_timeout(phi: SymFormula, interp: Interpretation, error: type, reason: str) -> int:
+    if term_free_vars(phi.timeout):
+        raise error(f"{reason}: variables in timeout {phi.timeout!r}")
+    return _eval_timeout(phi.timeout, interp)
+
+
 def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
     """Safe word length; undefined when a timeout term contains variables."""
-    if isinstance(phi, (TrueFormula, FalseFormula, Pred, Eq)):
-        return 0
-    if isinstance(phi, Not):
-        return symbolic_safe_word_length(phi.body, interp)
-    if isinstance(phi, (And, Or, Implies)):
-        return max(
-            symbolic_safe_word_length(phi.left, interp),
-            symbolic_safe_word_length(phi.right, interp),
-        )
-    if isinstance(phi, (Next, Consume)):
-        return symbolic_safe_word_length(phi.body, interp) + 1
-    if isinstance(phi, (Eventually, Always, Until, Release)):
-        if term_free_vars(phi.timeout):
-            raise runtime.SafeLengthUndefined(
-                f"safe word length undefined: variables in timeout {phi.timeout!r}"
-            )
-        t = _eval_timeout(phi.timeout, interp)
-        if isinstance(phi, (Eventually, Always)):
-            return symbolic_safe_word_length(phi.body, interp) + (t - 1)
-        return (
-            max(
-                symbolic_safe_word_length(phi.left, interp),
-                symbolic_safe_word_length(phi.right, interp),
-            )
-            + (t - 1)
-        )
-    raise SymbolicError(f"unknown formula {phi!r}")
+
+    def enter(node: SymFormula) -> Tuple[SymFormula, ...]:
+        # Each timeout is checked before the operator's operands are walked.
+        _closed_timeout(node, interp, runtime.SafeLengthUndefined, "safe word length undefined")
+        return CHILDREN[type(node)](node)
+
+    def visit(node: SymFormula, kids: Sequence[int]) -> int:
+        kind = type(node)
+        if kind not in CHILDREN:
+            raise SymbolicError(f"unknown formula {node!r}")
+        length = max(kids, default=0)
+        if kind is Next or kind is Consume:
+            return length + 1
+        if kind in _TIMED:
+            return length + (_eval_timeout(node.timeout, interp) - 1)
+        return length
+
+    return runtime.fold(phi, {**CHILDREN, **dict.fromkeys(_TIMED, enter)}, visit)
 
 
 def _static_depth(body: SymFormula, interp: Interpretation) -> Optional[int]:
@@ -496,66 +510,47 @@ def _static_depth(body: SymFormula, interp: Interpretation) -> Optional[int]:
 # Symbolic next form (used before word generation)
 
 
+_ALGEBRA = (Or, And, Next, TrueFormula(), FalseFormula())
+
+
 def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
     """Expand timed operators away; timeouts must be variable-free."""
-    if isinstance(phi, (TrueFormula, FalseFormula, Pred, Eq)):
-        return phi
-    if isinstance(phi, Not):
-        return Not(next_form(phi.body, interp))
-    if isinstance(phi, And):
-        return And(next_form(phi.left, interp), next_form(phi.right, interp))
-    if isinstance(phi, Or):
-        return Or(next_form(phi.left, interp), next_form(phi.right, interp))
-    if isinstance(phi, Implies):
-        return Implies(next_form(phi.left, interp), next_form(phi.right, interp))
-    if isinstance(phi, Next):
-        return Next(next_form(phi.body, interp))
-    if isinstance(phi, Consume):
-        return Consume(phi.var, phi.time_var, next_form(phi.body, interp))
-    if isinstance(phi, (Eventually, Always, Until, Release)):
-        if term_free_vars(phi.timeout):
-            raise OpenFormula(
-                f"cannot expand ahead of time: variables in timeout {phi.timeout!r}"
-            )
-        t = _eval_timeout(phi.timeout, interp)
-        if isinstance(phi, Eventually):
-            if t == 0:
-                return FalseFormula()
-            body = next_form(phi.body, interp)
-            acc = body
-            for _ in range(t - 1):
-                acc = Or(body, Next(acc))
-            return acc
-        if isinstance(phi, Always):
-            if t == 0:
-                return TrueFormula()
-            body = next_form(phi.body, interp)
-            acc = body
-            for _ in range(t - 1):
-                acc = And(body, Next(acc))
-            return acc
-        if isinstance(phi, Until):
-            if t == 0:
-                return FalseFormula()
-            left = next_form(phi.left, interp)
-            right = next_form(phi.right, interp)
-            acc = right
-            for _ in range(t - 1):
-                acc = Or(right, And(left, Next(acc)))
-            return acc
-        if t == 0:
-            return TrueFormula()
-        left = next_form(phi.left, interp)
-        right = next_form(phi.right, interp)
-        acc = right
-        for _ in range(t - 1):
-            acc = Or(And(left, right), And(right, Next(acc)))
-        return acc
-    raise SymbolicError(f"unknown formula {phi!r}")
+
+    def enter(node: SymFormula) -> Tuple[SymFormula, ...]:
+        # A zero window is decided before its operands are expanded.
+        if _closed_timeout(node, interp, OpenFormula, "cannot expand ahead of time") == 0:
+            return ()
+        return CHILDREN[type(node)](node)
+
+    def visit(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
+        kind = type(node)
+        if kind in _TIMED:
+            t = _eval_timeout(node.timeout, interp)
+            return runtime.next_form_chain(kind.__name__, t, kids, _ALGEBRA)
+        if kind is Consume:
+            return Consume(node.var, node.time_var, kids[0])
+        if kind not in CHILDREN:
+            raise SymbolicError(f"unknown formula {node!r}")
+        return kind(*kids) if kids else node
+
+    return runtime.fold(phi, {**CHILDREN, **dict.fromkeys(_TIMED, enter)}, visit)
 
 
 # ---------------------------------------------------------------------------
 # Compilation to the runtime algebra
+
+
+_COMPILE = {
+    Not: runtime.mk_not,
+    And: runtime.mk_and,
+    Or: runtime.mk_or,
+    Implies: runtime.mk_implies,
+    Next: runtime.mk_next,
+    Eventually: runtime.make_eventually,
+    Always: runtime.make_always,
+    Until: runtime.make_until,
+    Release: runtime.make_release,
+}
 
 
 def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
@@ -571,52 +566,21 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
     if isinstance(phi, FalseFormula):
         return runtime.BOTTOM
     if isinstance(phi, (Pred, Eq)):
-        unbound = free_vars(phi)
+        unbound = node_free_vars(phi, ())
         if unbound:
             raise OpenFormula(f"atom has free variables {sorted(unbound)}")
         return runtime.Solved(Verdict.from_bool(_holds(phi, interp, relaxed=False)))
-    if isinstance(phi, Not):
-        return runtime.mk_not(compile_formula(phi.body, interp))
-    if isinstance(phi, And):
-        return runtime.mk_and(
-            compile_formula(phi.left, interp), compile_formula(phi.right, interp)
-        )
-    if isinstance(phi, Or):
-        return runtime.mk_or(
-            compile_formula(phi.left, interp), compile_formula(phi.right, interp)
-        )
-    if isinstance(phi, Implies):
-        return runtime.mk_implies(
-            compile_formula(phi.left, interp), compile_formula(phi.right, interp)
-        )
-    if isinstance(phi, Next):
-        return runtime.mk_next(compile_formula(phi.body, interp))
-    if isinstance(phi, Eventually):
-        return runtime.make_eventually(
-            _eval_timeout(phi.timeout, interp), compile_formula(phi.body, interp)
-        )
-    if isinstance(phi, Always):
-        return runtime.make_always(
-            _eval_timeout(phi.timeout, interp), compile_formula(phi.body, interp)
-        )
-    if isinstance(phi, Until):
-        return runtime.make_until(
-            _eval_timeout(phi.timeout, interp),
-            compile_formula(phi.left, interp),
-            compile_formula(phi.right, interp),
-        )
-    if isinstance(phi, Release):
-        return runtime.make_release(
-            _eval_timeout(phi.timeout, interp),
-            compile_formula(phi.left, interp),
-            compile_formula(phi.right, interp),
-        )
+    build = _COMPILE.get(type(phi))
+    if build is not None:
+        # A timed operator evaluates its timeout before its operands compile.
+        timeout = [_eval_timeout(term, interp) for term in node_terms(phi)]
+        return build(*timeout, *[compile_formula(sub, interp) for sub in CHILDREN[type(phi)](phi)])
     if isinstance(phi, Consume):
         body, var, time_var = phi.body, phi.var, phi.time_var
 
         def consumer(letter: Any, time: int) -> runtime.Formula:
             letter_term = letter if isinstance(letter, Term) else Const(letter)
-            bound = substitute(substitute(body, var, letter_term), time_var, Lit(time))
+            bound = substitute(body, {time_var: Lit(time), var: letter_term})
             return compile_formula(bound, interp)
 
         return runtime.Consume(

@@ -15,9 +15,9 @@ attached later by the harness clock).
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Sequence, Union
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from . import symbolic
+from . import runtime, symbolic
 from .symbolic import App, Interpretation, SymFormula
 from .truth import Verdict
 
@@ -61,28 +61,30 @@ def _prepend(batch: FrozenSet[object], u: GenResult) -> GenResult:
     return [batch] + u
 
 
-def _check_fragment(phi: SymFormula) -> None:
-    if isinstance(phi, symbolic.Not):
-        raise GeneratorFragmentError("negation is not generatable")
-    if isinstance(phi, symbolic.FalseFormula):
-        raise GeneratorFragmentError("the false constant is not generatable")
-    if isinstance(phi, (symbolic.TrueFormula, symbolic.Pred, symbolic.Eq)):
-        return
-    if isinstance(phi, (symbolic.And, symbolic.Or, symbolic.Implies)):
-        _check_fragment(phi.left)
-        _check_fragment(phi.right)
-        return
-    if isinstance(phi, symbolic.Next):
-        _check_fragment(phi.body)
-        return
-    if isinstance(phi, symbolic.Consume):
-        if phi.time_var in symbolic.free_vars(phi.body):
-            raise GeneratorFragmentError(
-                f"time variable {phi.time_var!r} may not occur in a generated body"
-            )
-        _check_fragment(phi.body)
-        return
-    raise GeneratorFragmentError(f"formula is not in next form: {phi!r}")
+_GENERATABLE = {
+    symbolic.TrueFormula, symbolic.Pred, symbolic.Eq, symbolic.And, symbolic.Or, symbolic.Implies,
+    symbolic.Next, symbolic.Consume,
+}
+_NOT_GENERATABLE = {
+    symbolic.Not: "negation is not generatable",
+    symbolic.FalseFormula: "the false constant is not generatable",
+    symbolic.Consume: "time variable {phi.time_var!r} may not occur in a generated body",
+}
+
+
+_Scan = Tuple[Set[str], Optional[SymFormula]]
+
+
+def _scan(phi: SymFormula, kids: Sequence[_Scan]) -> _Scan:
+    """Free variables of ``phi`` and its first node outside the fragment, in pre-order."""
+    free = symbolic.node_free_vars(phi, [kid_free for kid_free, _ in kids])
+    kind = type(phi)
+    if kind not in _GENERATABLE or (kind is symbolic.Consume and phi.time_var in kids[0][0]):
+        return free, phi
+    for _, bad in kids:
+        if bad is not None:
+            return free, bad
+    return free, None
 
 
 def generate_word(
@@ -93,9 +95,12 @@ def generate_word(
     ``phi`` must be closed, in next form and inside the generatable fragment;
     fragment violations raise, plain generation failure returns ``GEN_ERR``.
     """
-    if symbolic.free_vars(phi):
+    free, bad = runtime.fold(phi, symbolic.CHILDREN, _scan)
+    if free:
         raise GeneratorFragmentError("formula must be closed")
-    _check_fragment(phi)
+    if bad is not None:
+        template = _NOT_GENERATABLE.get(type(bad), "formula is not in next form: {phi!r}")
+        raise GeneratorFragmentError(template.format(phi=bad))
     return _generate(phi, interp, rng)
 
 
@@ -125,7 +130,7 @@ def _generate(phi: SymFormula, interp: Interpretation, rng: random.Random) -> Ge
         rng.shuffle(pool)
         for name in pool:
             witness = App(name)
-            rest = _generate(symbolic.substitute(phi.body, phi.var, witness), interp, rng)
+            rest = _generate(symbolic.substitute(phi.body, {phi.var: witness}), interp, rng)
             if rest is not GEN_ERR:
                 element = symbolic.eval_term(witness, interp)
                 return _prepend(frozenset({element}), rest)

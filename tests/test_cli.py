@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from streamcheck.cli import main
 
 
@@ -105,3 +107,55 @@ def test_eval_parse_error_exits_two(tmp_path, capsys):
     assert main(["eval", str(scenario)]) == 2
     assert main(["eval", str(tmp_path / "missing.sexpr")]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--min-tests", "0"),
+        ("--min-tests", "-1"),
+        ("--parallelism", "0"),
+        ("--batch-interval-ms", "0"),
+    ],
+)
+def test_run_rejects_non_positive_numbers(flag, value, capsys):
+    assert main(["run", "banning-stateful", flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be a positive integer, got {value}" in captured.err
+
+
+ILL_FORMED_SCENARIOS = {
+    "negative_literal": (
+        "(scenario (formula (eventually -1 (consume ?x ?o (= ?x a)))) (word (a 0)) (expect F))",
+        "cannot parse",
+    ),
+    "uninterpreted_predicate": (
+        "(scenario (formula (frob a)) (word (a 0)) (expect T))",
+        "cannot evaluate",
+    ),
+    "uninterpreted_predicate_under_consume": (
+        "(scenario (formula (consume ?x ?o (frob ?x))) (word (a 0)) (expect T))",
+        "cannot evaluate",
+    ),
+    "nested_too_deeply": (
+        "(scenario (formula " + "(next " * 1200 + "true" + ")" * 1200 + ") (word) (expect T))",
+        "cannot parse",
+    ),
+    "open_word_letter": (
+        "(scenario (formula (consume ?x ?o (= ?x 5))) (word (?o 5)) (expect F))",
+        "cannot parse",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ILL_FORMED_SCENARIOS))
+def test_eval_ill_formed_scenario_exits_two(name, tmp_path, capsys):
+    text, message = ILL_FORMED_SCENARIOS[name]
+    scenario = tmp_path / f"{name}.sexpr"
+    scenario.write_text(text)
+    assert main(["eval", str(scenario), "--oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"{message} {scenario}: ")

@@ -5,7 +5,7 @@ from importlib import resources
 
 import pytest
 
-from streamcheck import cli, runtime as rt, sexpr, symbolic as sym
+from streamcheck import cli, runtime as rt, sexpr, symbolic as sym, truth, wordgen
 
 from corpus import random_symbolic_formula
 
@@ -45,6 +45,20 @@ class TestParsing:
         with pytest.raises(sexpr.SexprError):
             sexpr.parse_formula("(consume x ?o true)")
 
+    def test_literals_are_natural_numbers(self):
+        with pytest.raises(sexpr.SexprError, match="natural"):
+            sexpr.parse_formula("(eventually -1 true)")
+        assert sexpr.parse_formula("(eventually 0 true)") == sym.eventually(0, sym.TrueFormula())
+
+    def test_word_letters_are_closed_terms(self):
+        with pytest.raises(sexpr.SexprError, match="closed term"):
+            sexpr.word_from_node(sexpr.parse_node("(word (a 0) ((plus ?o 1) 5))"))
+
+    def test_deep_nesting_is_a_parse_error(self):
+        deep = "(next " * 1200 + "true" + ")" * 1200
+        with pytest.raises(sexpr.SexprError, match="nested too deeply"):
+            sexpr.parse_formula(deep)
+
 
 def test_format_parse_round_trip_on_corpus():
     rng = random.Random(15)
@@ -64,10 +78,17 @@ def corpus_files():
     return sorted(p for p in root.iterdir() if p.name.endswith(".sexpr"))
 
 
+# Scenarios whose consume witnesses cannot come from the constant pool, and
+# the one whose timeout is computed from a consumed letter.
+MAY_NOT_GENERATE = {"bound_pair_sum.sexpr", "bound_pair_sum_flipped.sexpr"}
+NO_NEXT_FORM = {"timeout_bound_from_letter.sexpr"}
+
+
 @pytest.mark.parametrize("path", corpus_files(), ids=lambda p: p.name)
 def test_bundled_scenarios(path):
     """Every bundled scenario file evaluates to its recorded verdict, both
-    stepwise and by direct judgment."""
+    stepwise and by direct judgment, and a word generated from its next form
+    validates that next form."""
     formula, word, expected = sexpr.parse_scenario(path.read_text())
     interp = cli.default_interpretation(formula, word)
     assert sym.judge(word, 1, formula, interp) is expected
@@ -77,6 +98,18 @@ def test_bundled_scenarios(path):
             break
         monitor.step(term, time)
     assert monitor.finish() is expected
+    try:
+        expanded = sym.next_form(formula, interp)
+    except sym.OpenFormula:
+        assert path.name in NO_NEXT_FORM
+        return
+    assert path.name not in NO_NEXT_FORM
+    for seed in range(50):
+        generated = wordgen.generate_word(expanded, interp, random.Random(seed))
+        if generated is wordgen.GEN_ERR:
+            assert path.name in MAY_NOT_GENERATE
+        else:
+            assert wordgen.relaxed_judge(expanded, generated, interp) is truth.TRUE
 
 
 def test_corpus_has_twelve_scenarios():

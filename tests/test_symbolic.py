@@ -38,26 +38,26 @@ class TestFreeVars:
 class TestSubstitute:
     def test_simple_replacement(self):
         phi = sym.eq(sym.Var("x"), "a")
-        assert sym.substitute(phi, "x", sym.App("b")) == sym.eq("b", "a")
+        assert sym.substitute(phi, {"x": sym.App("b")}) == sym.eq("b", "a")
 
     def test_timeout_substitution(self):
         timeout = sym.App("plus", (sym.Var("o"), sym.Lit(6)))
         phi = sym.Always(timeout, sym.eq(sym.Var("x"), "b"))
-        bound = sym.substitute(sym.substitute(phi, "x", sym.App("b")), "o", sym.Lit(0))
+        bound = sym.substitute(sym.substitute(phi, {"x": sym.App("b")}), {"o": sym.Lit(0)})
         assert bound == sym.Always(
             sym.App("plus", (sym.Lit(0), sym.Lit(6))), sym.eq("b", "b")
         )
 
     def test_shadowed_binder_untouched(self):
         phi = consume("x", "o", sym.eq(sym.Var("x"), "a"))
-        assert sym.substitute(phi, "x", sym.App("b")) == phi
+        assert sym.substitute(phi, {"x": sym.App("b")}) == phi
 
     def test_substitution_discharges_the_variable(self):
         rng = random.Random(2)
         for _ in range(500):
             phi = random_symbolic_formula(rng, depth=4)
             for var in sorted(sym.free_vars(phi) | {"x0"}):
-                replaced = sym.substitute(phi, var, sym.App("a"))
+                replaced = sym.substitute(phi, {var: sym.App("a")})
                 assert var not in sym.free_vars(replaced)
 
 
@@ -92,7 +92,7 @@ def closed_formulas(draw):
 @given(closed_formulas(), st.sampled_from("abc"))
 def test_substitute_then_free_vars_property(phi, constant):
     for var in sorted(sym.free_vars(phi)):
-        assert var not in sym.free_vars(sym.substitute(phi, var, sym.App(constant)))
+        assert var not in sym.free_vars(sym.substitute(phi, {var: sym.App(constant)}))
 
 
 class TestCompile:

@@ -1,0 +1,605 @@
+"""Formula walkers on the explicit-stack fold, against the recursive walkers
+they replace, and on next forms deeper than Python's recursion limit."""
+
+import random
+import tracemalloc
+
+import pytest
+
+from streamcheck import cli, sexpr, wordgen
+from streamcheck import runtime as rt
+from streamcheck import symbolic as sym
+from streamcheck.runtime import (
+    Always,
+    And,
+    Consume,
+    Eventually,
+    Implies,
+    Next,
+    Not,
+    Or,
+    Release,
+    Solved,
+    Until,
+)
+
+from corpus import (
+    INTERP,
+    consume_eq,
+    letter_is,
+    random_generatable_formula,
+    random_runtime_formula,
+    random_symbolic_formula,
+)
+
+SEEDS = range(300)
+
+
+class _Recursive:
+    """The walkers as recursive functions, as they were written before the
+    fold: the reference results and errors."""
+
+    # -- runtime ------------------------------------------------------------
+
+    @staticmethod
+    def is_next_form(phi):
+        if isinstance(phi, (Solved, Consume)):
+            return True
+        if isinstance(phi, (Not, Next)):
+            return _Recursive.is_next_form(phi.body)
+        if isinstance(phi, (And, Or, Implies)):
+            return _Recursive.is_next_form(phi.left) and _Recursive.is_next_form(phi.right)
+        return False
+
+    @staticmethod
+    def unfold_fixpoint(phi):
+        fix = _Recursive.unfold_fixpoint
+        phi = rt.unfold(phi)
+        if isinstance(phi, (Solved, Consume)):
+            return phi
+        if isinstance(phi, Not):
+            return rt.mk_not(fix(phi.body))
+        if isinstance(phi, And):
+            return rt.mk_and(fix(phi.left), fix(phi.right))
+        if isinstance(phi, Or):
+            return rt.mk_or(fix(phi.left), fix(phi.right))
+        if isinstance(phi, Implies):
+            return rt.mk_implies(fix(phi.left), fix(phi.right))
+        if isinstance(phi, Next):
+            return rt.mk_next(fix(phi.body))
+        raise rt.FormulaError(f"unexpected node after unfold: {phi!r}")
+
+    @staticmethod
+    def to_next_form(phi):
+        nf = _Recursive.to_next_form
+        if isinstance(phi, (Solved, Consume)):
+            return phi
+        if isinstance(phi, Not):
+            return rt.mk_not(nf(phi.body))
+        if isinstance(phi, And):
+            return rt.mk_and(nf(phi.left), nf(phi.right))
+        if isinstance(phi, Or):
+            return rt.mk_or(nf(phi.left), nf(phi.right))
+        if isinstance(phi, Implies):
+            return rt.mk_implies(nf(phi.left), nf(phi.right))
+        if isinstance(phi, Next):
+            return rt.mk_next(nf(phi.body))
+        if isinstance(phi, Eventually):
+            body = nf(phi.body)
+            acc = body
+            for _ in range(phi.timeout - 1):
+                acc = rt.mk_or(body, rt.mk_next(acc))
+            return acc
+        if isinstance(phi, Always):
+            body = nf(phi.body)
+            acc = body
+            for _ in range(phi.timeout - 1):
+                acc = rt.mk_and(body, rt.mk_next(acc))
+            return acc
+        if isinstance(phi, Until):
+            left, right = nf(phi.left), nf(phi.right)
+            acc = right
+            for _ in range(phi.timeout - 1):
+                acc = rt.mk_or(right, rt.mk_and(left, rt.mk_next(acc)))
+            return acc
+        if isinstance(phi, Release):
+            left, right = nf(phi.left), nf(phi.right)
+            acc = right
+            for _ in range(phi.timeout - 1):
+                acc = rt.mk_or(rt.mk_and(left, right), rt.mk_and(right, rt.mk_next(acc)))
+            return acc
+        raise rt.FormulaError(f"cannot transform {phi!r}")
+
+    @staticmethod
+    def safe_word_length(phi):
+        swl = _Recursive.safe_word_length
+        if isinstance(phi, Solved):
+            return 0
+        if isinstance(phi, Not):
+            return swl(phi.body)
+        if isinstance(phi, (And, Or, Implies)):
+            return max(swl(phi.left), swl(phi.right))
+        if isinstance(phi, Next):
+            return swl(phi.body) + 1
+        if isinstance(phi, Consume):
+            if phi.static_depth is None:
+                raise rt.SafeLengthUndefined(
+                    f"safe word length undefined: dynamic consumer {phi.label!r}"
+                )
+            return phi.static_depth
+        if isinstance(phi, (Eventually, Always)):
+            return swl(phi.body) + (phi.timeout - 1)
+        if isinstance(phi, (Until, Release)):
+            return max(swl(phi.left), swl(phi.right)) + (phi.timeout - 1)
+        raise rt.FormulaError(f"cannot size {phi!r}")
+
+    @staticmethod
+    def size(phi):
+        size = _Recursive.size
+        if isinstance(phi, (Solved, Consume)):
+            return 1
+        if isinstance(phi, (Not, Next, Eventually, Always)):
+            return 1 + size(phi.body)
+        if isinstance(phi, (And, Or, Implies, Until, Release)):
+            return 1 + size(phi.left) + size(phi.right)
+        raise rt.FormulaError(f"cannot size {phi!r}")
+
+    @staticmethod
+    def render(phi):
+        r = _Recursive.render
+        if isinstance(phi, Solved):
+            return phi.value.symbol
+        if isinstance(phi, Not):
+            return f"!{r(phi.body)}"
+        if isinstance(phi, And):
+            return f"({r(phi.left)} & {r(phi.right)})"
+        if isinstance(phi, Or):
+            return f"({r(phi.left)} | {r(phi.right)})"
+        if isinstance(phi, Implies):
+            return f"({r(phi.left)} -> {r(phi.right)})"
+        if isinstance(phi, Next):
+            return f"X{r(phi.body)}"
+        if isinstance(phi, Consume):
+            return f"<{phi.label}>"
+        if isinstance(phi, Eventually):
+            return f"F[{phi.timeout}]{r(phi.body)}"
+        if isinstance(phi, Always):
+            return f"G[{phi.timeout}]{r(phi.body)}"
+        if isinstance(phi, Until):
+            return f"({r(phi.left)} U[{phi.timeout}] {r(phi.right)})"
+        if isinstance(phi, Release):
+            return f"({r(phi.left)} R[{phi.timeout}] {r(phi.right)})"
+        raise rt.FormulaError(f"cannot render {phi!r}")
+
+    # -- symbolic -----------------------------------------------------------
+
+    @staticmethod
+    def free_vars(phi):
+        fv, tfv = _Recursive.free_vars, sym.term_free_vars
+        if isinstance(phi, (sym.TrueFormula, sym.FalseFormula)):
+            return set()
+        if isinstance(phi, sym.Pred):
+            return set().union(*map(tfv, phi.args))
+        if isinstance(phi, sym.Eq):
+            return tfv(phi.left) | tfv(phi.right)
+        if isinstance(phi, (sym.Not, sym.Next)):
+            return fv(phi.body)
+        if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+            return fv(phi.left) | fv(phi.right)
+        if isinstance(phi, (sym.Eventually, sym.Always)):
+            return tfv(phi.timeout) | fv(phi.body)
+        if isinstance(phi, (sym.Until, sym.Release)):
+            return tfv(phi.timeout) | fv(phi.left) | fv(phi.right)
+        if isinstance(phi, sym.Consume):
+            return fv(phi.body) - {phi.var, phi.time_var}
+        raise sym.SymbolicError(f"unknown formula {phi!r}")
+
+    @staticmethod
+    def substitute(phi, var, replacement):
+        """One name at a time; a firing consume used to call it twice."""
+
+        def term(t):
+            if isinstance(t, sym.Var):
+                return replacement if t.name == var else t
+            if isinstance(t, sym.App):
+                return sym.App(t.symbol, tuple(term(a) for a in t.args))
+            return t
+
+        def walk(phi):
+            if isinstance(phi, (sym.TrueFormula, sym.FalseFormula)):
+                return phi
+            if isinstance(phi, sym.Pred):
+                return sym.Pred(phi.name, tuple(term(a) for a in phi.args))
+            if isinstance(phi, sym.Eq):
+                return sym.Eq(term(phi.left), term(phi.right))
+            if isinstance(phi, (sym.Not, sym.Next)):
+                return type(phi)(walk(phi.body))
+            if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+                return type(phi)(walk(phi.left), walk(phi.right))
+            if isinstance(phi, (sym.Eventually, sym.Always)):
+                return type(phi)(term(phi.timeout), walk(phi.body))
+            if isinstance(phi, (sym.Until, sym.Release)):
+                return type(phi)(term(phi.timeout), walk(phi.left), walk(phi.right))
+            if isinstance(phi, sym.Consume):
+                if var in (phi.var, phi.time_var):
+                    return phi
+                return sym.Consume(phi.var, phi.time_var, walk(phi.body))
+            raise sym.SymbolicError(f"unknown formula {phi!r}")
+
+        return walk(phi)
+
+    @staticmethod
+    def symbolic_safe_word_length(phi, interp):
+        swl = _Recursive.symbolic_safe_word_length
+        if isinstance(phi, (sym.TrueFormula, sym.FalseFormula, sym.Pred, sym.Eq)):
+            return 0
+        if isinstance(phi, sym.Not):
+            return swl(phi.body, interp)
+        if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+            return max(swl(phi.left, interp), swl(phi.right, interp))
+        if isinstance(phi, (sym.Next, sym.Consume)):
+            return swl(phi.body, interp) + 1
+        if isinstance(phi, (sym.Eventually, sym.Always, sym.Until, sym.Release)):
+            if sym.term_free_vars(phi.timeout):
+                raise rt.SafeLengthUndefined(
+                    f"safe word length undefined: variables in timeout {phi.timeout!r}"
+                )
+            t = sym._eval_timeout(phi.timeout, interp)
+            if isinstance(phi, (sym.Eventually, sym.Always)):
+                return swl(phi.body, interp) + (t - 1)
+            return max(swl(phi.left, interp), swl(phi.right, interp)) + (t - 1)
+        raise sym.SymbolicError(f"unknown formula {phi!r}")
+
+    @staticmethod
+    def next_form(phi, interp):
+        nf = _Recursive.next_form
+        if isinstance(phi, (sym.TrueFormula, sym.FalseFormula, sym.Pred, sym.Eq)):
+            return phi
+        if isinstance(phi, (sym.Not, sym.Next)):
+            return type(phi)(nf(phi.body, interp))
+        if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+            return type(phi)(nf(phi.left, interp), nf(phi.right, interp))
+        if isinstance(phi, sym.Consume):
+            return sym.Consume(phi.var, phi.time_var, nf(phi.body, interp))
+        if isinstance(phi, (sym.Eventually, sym.Always, sym.Until, sym.Release)):
+            if sym.term_free_vars(phi.timeout):
+                raise sym.OpenFormula(
+                    f"cannot expand ahead of time: variables in timeout {phi.timeout!r}"
+                )
+            t = sym._eval_timeout(phi.timeout, interp)
+            if isinstance(phi, sym.Eventually):
+                if t == 0:
+                    return sym.FalseFormula()
+                body = nf(phi.body, interp)
+                acc = body
+                for _ in range(t - 1):
+                    acc = sym.Or(body, sym.Next(acc))
+                return acc
+            if isinstance(phi, sym.Always):
+                if t == 0:
+                    return sym.TrueFormula()
+                body = nf(phi.body, interp)
+                acc = body
+                for _ in range(t - 1):
+                    acc = sym.And(body, sym.Next(acc))
+                return acc
+            if isinstance(phi, sym.Until):
+                if t == 0:
+                    return sym.FalseFormula()
+                left, right = nf(phi.left, interp), nf(phi.right, interp)
+                acc = right
+                for _ in range(t - 1):
+                    acc = sym.Or(right, sym.And(left, sym.Next(acc)))
+                return acc
+            if t == 0:
+                return sym.TrueFormula()
+            left, right = nf(phi.left, interp), nf(phi.right, interp)
+            acc = right
+            for _ in range(t - 1):
+                acc = sym.Or(sym.And(left, right), sym.And(right, sym.Next(acc)))
+            return acc
+        raise sym.SymbolicError(f"unknown formula {phi!r}")
+
+    @staticmethod
+    def format_formula(phi):
+        f, t = _Recursive.format_formula, sexpr.format_term
+        if isinstance(phi, sym.TrueFormula):
+            return "true"
+        if isinstance(phi, sym.FalseFormula):
+            return "false"
+        if isinstance(phi, sym.Pred):
+            inner = " ".join(t(a) for a in phi.args)
+            return f"({phi.name} {inner})" if inner else f"({phi.name})"
+        if isinstance(phi, sym.Eq):
+            return f"(= {t(phi.left)} {t(phi.right)})"
+        heads = {
+            sym.Not: "not", sym.And: "and", sym.Or: "or", sym.Implies: "implies",
+            sym.Next: "next", sym.Eventually: "eventually", sym.Always: "always",
+            sym.Until: "until", sym.Release: "release",
+        }
+        if isinstance(phi, (sym.Not, sym.Next)):
+            return f"({heads[type(phi)]} {f(phi.body)})"
+        if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+            return f"({heads[type(phi)]} {f(phi.left)} {f(phi.right)})"
+        if isinstance(phi, (sym.Eventually, sym.Always)):
+            return f"({heads[type(phi)]} {t(phi.timeout)} {f(phi.body)})"
+        if isinstance(phi, (sym.Until, sym.Release)):
+            return f"({heads[type(phi)]} {t(phi.timeout)} {f(phi.left)} {f(phi.right)})"
+        if isinstance(phi, sym.Consume):
+            return f"(consume ?{phi.var} ?{phi.time_var} {f(phi.body)})"
+        raise sexpr.SexprError(f"cannot format formula {phi!r}")
+
+    @staticmethod
+    def check_generatable(phi):
+        """``generate_word``'s checks: closedness, then the fragment."""
+
+        def fragment(phi):
+            if isinstance(phi, sym.Not):
+                raise wordgen.GeneratorFragmentError("negation is not generatable")
+            if isinstance(phi, sym.FalseFormula):
+                raise wordgen.GeneratorFragmentError("the false constant is not generatable")
+            if isinstance(phi, (sym.TrueFormula, sym.Pred, sym.Eq)):
+                return
+            if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+                fragment(phi.left)
+                fragment(phi.right)
+                return
+            if isinstance(phi, sym.Next):
+                fragment(phi.body)
+                return
+            if isinstance(phi, sym.Consume):
+                if phi.time_var in _Recursive.free_vars(phi.body):
+                    raise wordgen.GeneratorFragmentError(
+                        f"time variable {phi.time_var!r} may not occur in a generated body"
+                    )
+                fragment(phi.body)
+                return
+            raise wordgen.GeneratorFragmentError(f"formula is not in next form: {phi!r}")
+
+        if _Recursive.free_vars(phi):
+            raise wordgen.GeneratorFragmentError("formula must be closed")
+        fragment(phi)
+
+    @staticmethod
+    def interpretation_symbols(phi, word):
+        """``cli.default_interpretation``'s symbol collection."""
+        symbols = set()
+
+        def collect_term(term):
+            if isinstance(term, sym.App):
+                if not term.args and term.symbol not in cli._ARITHMETIC:
+                    symbols.add(term.symbol)
+                for arg in term.args:
+                    collect_term(arg)
+
+        def collect(formula):
+            if isinstance(formula, sym.Pred):
+                for arg in formula.args:
+                    collect_term(arg)
+            elif isinstance(formula, sym.Eq):
+                collect_term(formula.left)
+                collect_term(formula.right)
+            elif isinstance(formula, (sym.Not, sym.Next, sym.Consume)):
+                collect(formula.body)
+            elif isinstance(formula, (sym.And, sym.Or, sym.Implies)):
+                collect(formula.left)
+                collect(formula.right)
+            elif isinstance(formula, (sym.Eventually, sym.Always)):
+                collect_term(formula.timeout)
+                collect(formula.body)
+            elif isinstance(formula, (sym.Until, sym.Release)):
+                collect_term(formula.timeout)
+                collect(formula.left)
+                collect(formula.right)
+
+        collect(phi)
+        for term, _time in word:
+            collect_term(term)
+        return tuple(sorted(symbols))
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return (type(exc), str(exc))
+
+
+def subformulas(phi, children):
+    """Every node of ``phi``, so open bodies and timed operands are walked too."""
+    out, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(children.get(type(node), rt.no_children)(node))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the recursive walkers
+
+
+def runtime_formulas():
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        yield random_runtime_formula(rng, depth=4, allow_dynamic=seed % 2 == 0)
+
+
+UNKNOWN = object()
+ODD_RUNTIME = [
+    And(letter_is("a"), UNKNOWN),
+    Next(Eventually(2, UNKNOWN)),
+    Or(UNKNOWN, Consume(lambda letter, time: rt.TOP, static_depth=None, label="dyn")),
+    Until(3, Consume(lambda letter, time: rt.TOP, static_depth=None, label="first"), UNKNOWN),
+]
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["is_next_form", "size", "safe_word_length", "render", "to_next_form", "unfold_fixpoint"],
+)
+def test_runtime_walkers_agree_with_recursion(name):
+    new, old = getattr(rt, name), getattr(_Recursive, name)
+    for phi in [*runtime_formulas(), *ODD_RUNTIME]:
+        for node in subformulas(phi, rt.CHILDREN):
+            assert outcome(new, node) == outcome(old, node)
+
+
+def test_eager_next_forms_agree_on_their_walkers():
+    for phi in runtime_formulas():
+        expanded = rt.to_next_form(phi)
+        assert rt.is_next_form(expanded)
+        assert rt.size(expanded) == _Recursive.size(expanded)
+        assert rt.render(expanded) == _Recursive.render(expanded)
+        assert outcome(rt.safe_word_length, expanded) == outcome(
+            _Recursive.safe_word_length, expanded
+        )
+
+
+def symbolic_formulas():
+    for seed in SEEDS:
+        yield random_symbolic_formula(random.Random(seed), depth=4)
+        yield random_generatable_formula(random.Random(seed), depth=4)
+
+
+def zero_window(op, *operands):
+    return op(sym.Lit(0), *operands)
+
+
+OPEN_TIMEOUT = sym.eventually(sym.Var("o"), sym.TrueFormula())
+ODD_SYMBOLIC = [
+    # A zero window is decided before its open operand is expanded.
+    zero_window(sym.Eventually, OPEN_TIMEOUT),
+    zero_window(sym.Until, sym.TrueFormula(), OPEN_TIMEOUT),
+    zero_window(sym.Always, sym.Not(sym.FalseFormula())),
+    zero_window(sym.Release, sym.FalseFormula(), sym.TrueFormula()),
+    # An outer timeout is evaluated before the operands are walked.
+    sym.always(sym.App("mystery"), OPEN_TIMEOUT),
+    sym.until(sym.App("mystery"), OPEN_TIMEOUT, sym.pred("leq", 1, 2)),
+    sym.Consume("x", "x", sym.Next(sym.Eq(sym.Var("x"), sym.App("a")))),
+    sym.Consume("x", "o", sym.Always(sym.Var("o"), sym.Eq(sym.Var("x"), sym.App("b")))),
+]
+
+
+def recursive_generate_word(phi):
+    _Recursive.check_generatable(phi)
+    return wordgen._generate(phi, INTERP, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["free_vars", "symbolic_safe_word_length", "next_form", "format_formula", "check_generatable"],
+)
+def test_symbolic_walkers_agree_with_recursion(name):
+    new = {
+        "symbolic_safe_word_length": lambda phi: sym.symbolic_safe_word_length(phi, INTERP),
+        "next_form": lambda phi: sym.next_form(phi, INTERP),
+        "format_formula": sexpr.format_formula,
+        "check_generatable": lambda phi: wordgen.generate_word(phi, INTERP, random.Random(0)),
+    }.get(name, getattr(sym, name, None))
+    old = {
+        "symbolic_safe_word_length": lambda phi: _Recursive.symbolic_safe_word_length(phi, INTERP),
+        "next_form": lambda phi: _Recursive.next_form(phi, INTERP),
+        "check_generatable": recursive_generate_word,
+    }.get(name, getattr(_Recursive, name))
+    for phi in [*symbolic_formulas(), *ODD_SYMBOLIC, sym.And(sym.TrueFormula(), UNKNOWN)]:
+        for node in subformulas(phi, sym.CHILDREN):
+            assert outcome(new, node) == outcome(old, node)
+            expanded = outcome(_Recursive.next_form, node, INTERP)
+            if isinstance(expanded, sym.SymFormula):
+                assert outcome(new, expanded) == outcome(old, expanded)
+
+
+def test_interpretation_symbols_agree_with_recursion():
+    word = [(sym.App("plus", (sym.App("d"), sym.Lit(1))), 0), (sym.App("plus"), 1)]
+    for phi in [*symbolic_formulas(), *ODD_SYMBOLIC]:
+        interp = cli.default_interpretation(phi, word)
+        assert interp.constants == _Recursive.interpretation_symbols(phi, word)
+        assert set(interp.functions) == {*interp.constants, *cli._ARITHMETIC}
+
+
+def test_one_walk_substitution_equals_two_walks():
+    """A firing consume binds its letter and its time in one walk; that is the
+    letter substituted first and the time second, for a closed letter."""
+    letter, time = sym.App("plus", (sym.App("b"), sym.Lit(2))), 7
+    consumes = [
+        node
+        for phi in [*symbolic_formulas(), *ODD_SYMBOLIC]
+        for node in subformulas(phi, sym.CHILDREN)
+        if isinstance(node, sym.Consume)
+    ]
+    consumes += [sym.Consume(c.var, c.var, c.body) for c in consumes[:200]]
+    consumes += [sym.Consume(c.time_var, c.var, c.body) for c in consumes[:200]]
+    assert len(consumes) > 500
+    for c in consumes:
+        two_walks = _Recursive.substitute(
+            _Recursive.substitute(c.body, c.var, letter), c.time_var, sym.Lit(time)
+        )
+        assert sym.substitute(c.body, {c.time_var: sym.Lit(time), c.var: letter}) == two_walks
+
+
+# ---------------------------------------------------------------------------
+# Next forms deeper than the recursion limit
+
+DEEP = 10_000
+P, Q = letter_is("a"), letter_is("b")
+
+
+@pytest.mark.parametrize(
+    "timed",
+    [Eventually(DEEP, P), Always(DEEP, P), Until(DEEP, P, Q), Release(DEEP, P, Q)],
+    ids=["eventually", "always", "until", "release"],
+)
+def test_eager_route_has_no_recursion_cliff(timed):
+    expanded = rt.to_next_form(timed)
+    per_instant = {Eventually: 3, Always: 3, Until: 5, Release: 7}[type(timed)]
+    assert rt.size(expanded) == 1 + (DEEP - 1) * per_instant
+    assert rt.is_next_form(expanded)
+    assert rt.safe_word_length(expanded) == DEEP
+    assert rt.render(expanded).count("X") == DEEP - 1
+    assert same_tree(rt.unfold_fixpoint(timed), expanded)
+
+
+def same_tree(a, b):
+    """Structural equality on an explicit stack; dataclass ``==`` recurses."""
+    stack = [(a, b)]
+    while stack:
+        a, b = stack.pop()
+        if type(a) is not type(b) or getattr(a, "timeout", 0) != getattr(b, "timeout", 0):
+            return False
+        children = rt.CHILDREN[type(a)]
+        if children is rt.no_children and a != b:
+            return False
+        stack.extend(zip(children(a), children(b)))
+    return True
+
+
+def test_symbolic_route_has_no_recursion_cliff():
+    expanded = sym.next_form(sym.eventually(DEEP, consume_eq("x", "o", "a")), INTERP)
+    assert sym.free_vars(expanded) == set()
+    assert sym.constants(expanded) == {"a"}
+    text = sexpr.format_formula(expanded)
+    assert text.count("(next ") == DEEP - 1
+    assert text.startswith("(or (consume ?x ?o (= ?x a)) (next (or ")
+    assert wordgen.generate_word(expanded, INTERP, random.Random(0)) is not wordgen.GEN_ERR
+    with pytest.raises(wordgen.GeneratorFragmentError, match="time variable 'o'"):
+        leaky = sym.Consume("x", "o", sym.eq(sym.Var("o"), 1))
+        wordgen.generate_word(sym.next_form(sym.eventually(DEEP, leaky), INTERP), INTERP, None)
+    with pytest.raises(wordgen.GeneratorFragmentError, match="closed"):
+        open_body = sym.Not(sym.eq(sym.Var("y"), "a"))
+        wordgen.generate_word(sym.next_form(sym.eventually(DEEP, open_body), INTERP), INTERP, None)
+
+
+def test_fold_memory_grows_with_depth_not_size():
+    """The eager form shares one body object along each chain, so this
+    67,498-node tree is only about 600 nodes deep."""
+    expanded = rt.to_next_form(Always(150, Eventually(150, P)))
+    assert rt.size(expanded) == 67_498
+    tracemalloc.start()
+    try:
+        assert rt.safe_word_length(expanded) == 299
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
