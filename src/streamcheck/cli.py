@@ -121,11 +121,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0 if all_match else 1
 
 
+def _builtin(name: str, operation):
+    """Wrap a built-in so an ill-typed argument is a :class:`symbolic.SymbolicError`."""
+
+    def apply(*args):
+        try:
+            return operation(*args)
+        except TypeError as exc:
+            shown = " ".join(map(repr, args))
+            raise symbolic.SymbolicError(f"({name} {shown}): {exc}") from exc
+
+    return apply
+
+
 _ARITHMETIC = {
-    "plus": lambda a, b: a + b,
+    "plus": _builtin("plus", lambda a, b: a + b),
 }
 _PRED_BUILTINS = {
-    "leq": lambda a, b: a <= b,
+    "leq": _builtin("leq", lambda a, b: a <= b),
 }
 
 

@@ -216,8 +216,8 @@ def run_test_case(
     word the monitor consumed: a decided verdict on a finite word never
     changes when the word is extended, so the unread rest cannot matter.
     """
-    verdict, trace, _word = _run_case(batches, transformation, formula, cfg)
-    return verdict, trace
+    monitor, _word = _run_case(batches, transformation, formula, cfg)
+    return monitor.verdict, tuple(monitor.trace)
 
 
 def _run_case(
@@ -225,8 +225,9 @@ def _run_case(
     transformation: Transformation,
     formula: Formula,
     cfg: HarnessConfig,
-) -> Tuple[Verdict, Tuple[StepTrace, ...], list]:
-    """:func:`run_test_case`, also returning the consumed word."""
+) -> Tuple[Monitor, list]:
+    """:func:`run_test_case`, returning the decided monitor and the consumed
+    word; the monitor's trace is sized only if the caller reads it."""
     monitor = Monitor(formula)
     state = transformation.initial
     word = []
@@ -256,7 +257,7 @@ def _run_case(
             raise OracleMismatch(
                 f"stepwise verdict {verdict.symbol} != reference {expected.symbol}"
             )
-    return verdict, tuple(monitor.trace), word
+    return monitor, word
 
 
 # ---------------------------------------------------------------------------
@@ -317,11 +318,13 @@ def for_all_stream(
     def run_case(index: int):
         batches = batches_of(gen, case_rng(cfg.seed, index))
         try:
-            verdict, trace, word = _run_case(batches, transformation, formula, cfg)
+            monitor, word = _run_case(batches, transformation, formula, cfg)
         except CaseError as exc:
             return None, None, exc
+        verdict = monitor.verdict
         if verdict is not truth.FALSE:
             return verdict, None, None
+        trace = tuple(monitor.trace)
         # The counterexample keeps the whole prefix: the batches read, then the rest.
         prefix = StreamPrefix(chain((letter.input for letter, _t in word), batches))
         failing_step = trace[-1].step if trace else 0

@@ -685,7 +685,9 @@ class Monitor:
     """Evaluates a formula one letter at a time.
 
     Once a verdict is reached the monitor is inert: stepping it again raises
-    :class:`MonitorDecided` and the verdict never changes.
+    :class:`MonitorDecided` and the verdict never changes.  Each step keeps
+    its residual until :attr:`trace` is read, so a run whose trace nobody
+    reads never walks a residual to size it.
     """
 
     def __init__(self, formula: Formula):
@@ -693,9 +695,20 @@ class Monitor:
         self._current = current
         self.consumed = 0
         self.verdict: Optional[Verdict] = None
-        self.trace: list[StepTrace] = []
+        self._pending: list[Tuple[Optional[Timestamp], Formula, Optional[Verdict]]] = []
+        self._trace: list[StepTrace] = []
         if isinstance(current, Solved):
             self.verdict = current.value
+
+    @property
+    def trace(self) -> list[StepTrace]:
+        """One entry per step, the closing pass last; each residual is sized
+        the first time the trace is read after its step."""
+        trace = self._trace
+        for time_ms, residual, verdict in self._pending:
+            trace.append(StepTrace(len(trace) + 1, time_ms, size(residual), verdict))
+        self._pending.clear()
+        return trace
 
     def step(self, letter: Any, time_ms: Timestamp) -> Optional[Verdict]:
         if self.verdict is not None:
@@ -706,7 +719,7 @@ class Monitor:
         self.consumed += 1
         if isinstance(current, Solved):
             self.verdict = current.value
-        self.trace.append(StepTrace(self.consumed, time_ms, size(current), self.verdict))
+        self._pending.append((time_ms, current, self.verdict))
         return self.verdict
 
     def finish(self) -> Verdict:
@@ -716,5 +729,5 @@ class Monitor:
                 current = letter_simplify(current, None)
             self._current = current
             self.verdict = current.value
-            self.trace.append(StepTrace(self.consumed + 1, None, 1, self.verdict))
+            self._pending.append((None, current, self.verdict))
         return self.verdict

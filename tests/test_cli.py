@@ -146,6 +146,14 @@ ILL_FORMED_SCENARIOS = {
         "(scenario (formula (consume ?x ?o (= ?x 5))) (word (?o 5)) (expect F))",
         "cannot parse",
     ),
+    "ill_typed_leq": (
+        "(scenario (formula (leq a 5)) (word (0 0)) (expect T))",
+        "cannot evaluate",
+    ),
+    "ill_typed_plus_under_consume": (
+        "(scenario (formula (consume ?x ?o (leq (plus ?x b) 5))) (word (0 0)) (expect T))",
+        "cannot evaluate",
+    ),
 }
 
 
@@ -159,3 +167,22 @@ def test_eval_ill_formed_scenario_exits_two(name, tmp_path, capsys):
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(f"{message} {scenario}: ")
+
+
+@pytest.mark.parametrize(
+    "formula, shown",
+    [("(leq a 5)", "(leq 'a' 5)"), ("(consume ?x ?o (leq (plus ?x b) 5))", "(plus 0 'b')")],
+    ids=["leq", "plus_under_consume"],
+)
+def test_eval_names_the_ill_typed_builtin(formula, shown, tmp_path, capsys):
+    scenario = tmp_path / "ill_typed.sexpr"
+    scenario.write_text(f"(scenario (formula {formula}) (word (0 0)) (expect T))")
+    assert main(["eval", str(scenario)]) == 2
+    assert shown in capsys.readouterr().err
+
+
+def test_eval_leq_on_symbols_keeps_its_verdict(tmp_path, capsys):
+    scenario = tmp_path / "symbols.sexpr"
+    scenario.write_text("(scenario (formula (leq a b)) (word (0 0)) (expect T))")
+    assert main(["eval", str(scenario), "--oracle"]) == 0
+    assert "verdict=T" in capsys.readouterr().out

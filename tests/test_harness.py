@@ -498,3 +498,57 @@ class TestPulledBatches:
         )
         assert report.error_message.startswith("case 1: predicate failed at step 2")
         assert len(pulled) == 2
+
+
+class TestLazySizing:
+    """Residuals are sized only when a counterexample's trace is read."""
+
+    @staticmethod
+    def counting_size(monkeypatch):
+        sized = []
+        size = rt.size
+
+        def counting(phi):
+            sized.append(phi)
+            return size(phi)
+
+        monkeypatch.setattr(rt, "size", counting)
+        return sized
+
+    def test_a_passing_run_sizes_nothing(self, monkeypatch):
+        sized = self.counting_size(monkeypatch)
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 4)
+        report = for_all_stream(
+            prefixes, harness.map_elements(str), rt.Always(4, output_nonempty()), CFG
+        )
+        assert report.ok() and report.passed == CFG.min_tests_ok
+        assert sized == []
+
+    def test_a_refuted_run_sizes_only_the_counterexample(self, monkeypatch):
+        sized = self.counting_size(monkeypatch)
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 4)
+        cfg = HarnessConfig(min_tests_ok=100, seed=3)
+        report = for_all_stream(
+            prefixes,
+            harness.filter_elements(lambda x: x != 0),
+            rt.Always(4, output_nonempty()),
+            cfg,
+        )
+        cex = report.counterexample
+        assert report.failed == 1 and cex.case_index > 1  # earlier cases passed
+        assert len(sized) == len(cex.trace) == cex.failing_step
+
+    def test_run_test_case_returns_every_step_and_the_closing_pass(self):
+        formula = rt.Always(5, output_nonempty())
+        batches = [[1], [2], [3]]
+        verdict, trace = run_test_case(prefix_of(*batches), harness.map_elements(str), formula, CFG)
+        assert verdict is truth.INCONCLUSIVE
+        reference = rt.Monitor(formula)
+        for i, batch in enumerate(batches, 1):
+            t = time_of(i, CFG)
+            reference.step(IoLetter(Batch(batch), Batch(map(str, batch)), t), t)
+            assert reference.trace[-1].step == i  # read after every step
+        reference.finish()
+        assert trace == tuple(reference.trace)
+        assert [(e.step, e.time_ms) for e in trace] == [(1, 0), (2, 100), (3, 200), (4, None)]
+        assert trace[-1].formula_size == 1 and trace[-1].verdict is truth.INCONCLUSIVE

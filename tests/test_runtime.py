@@ -187,6 +187,28 @@ class TestMonitor:
         assert monitor.trace[-1].verdict is truth.INCONCLUSIVE
         assert "verdict" in monitor.trace[0].line()
 
+    def test_trace_read_once_equals_trace_read_every_step(self):
+        rng = random.Random(707)
+        for _ in range(300):
+            phi = random_runtime_formula(rng, depth=4, allow_dynamic=True)
+            word = random_word(rng, max_len=12)
+            once, every = rt.Monitor(phi), rt.Monitor(phi)
+            reads = [list(every.trace)]
+            for letter, time in word:
+                if once.verdict is not None:
+                    break
+                assert once.step(letter, time) is every.step(letter, time)
+                reads.append(list(every.trace))
+            assert once.finish() is every.finish()
+            trace = once.trace
+            assert trace == every.trace
+            assert [entry.step for entry in trace] == list(range(1, len(trace) + 1))
+            for read in reads:  # entries already read never change
+                assert every.trace[: len(read)] == read
+            assert once.trace is trace
+            if trace and trace[-1].time_ms is None:
+                assert trace[-1].formula_size == 1
+
     def test_stepwise_equals_reference_on_corpus(self):
         rng = random.Random(5)
         for _ in range(300):
