@@ -1,8 +1,9 @@
 """Command-line runner for the bundled example properties and scenario files.
 
 Exit codes: 0 when every executed example's outcome matches its expected
-outcome, 1 on a mismatch, 2 on usage errors and on scenario files that
-cannot be read, parsed or evaluated.
+outcome, 1 on a mismatch (including a reference judgment that disagrees with
+the stepwise monitor), 2 on usage errors and on scenario files that cannot be
+read, parsed or evaluated.
 """
 
 from __future__ import annotations
@@ -85,7 +86,14 @@ def _cmd_run(args: argparse.Namespace) -> int:
             parallelism=args.parallelism,
             oracle_crosscheck=args.oracle,
         )
-        report = run_example(spec, cfg)
+        try:
+            report = run_example(spec, cfg)
+        except harness.OracleMismatch as exc:
+            print(
+                f"{spec.name}: reference judgment disagrees with the stepwise monitor in {exc}",
+                file=sys.stderr,
+            )
+            return 1
         outcome = observed_outcome(report)
         matched = outcome == spec.expected
         all_match = all_match and matched

@@ -312,7 +312,8 @@ def for_all_stream(
     ``parallelism`` consecutive indices, on threads when it exceeds one; the
     run stops after the wave that holds the first failure or error, and the
     results are folded in index order, so the report is the same for every
-    ``parallelism``.
+    ``parallelism``.  An :class:`OracleMismatch` is not a case error: it
+    propagates, its message prefixed with ``case <index>: ``.
     """
 
     def run_case(index: int):
@@ -321,6 +322,8 @@ def for_all_stream(
             monitor, word = _run_case(batches, transformation, formula, cfg)
         except CaseError as exc:
             return None, None, exc
+        except OracleMismatch as exc:
+            raise OracleMismatch(f"case {index}: {exc}") from exc
         verdict = monitor.verdict
         if verdict is not truth.FALSE:
             return verdict, None, None

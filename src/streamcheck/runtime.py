@@ -11,7 +11,7 @@ instant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -35,45 +35,78 @@ class MonitorDecided(FormulaError):
 
 
 class Formula:
-    """Base class of the runtime formula algebra."""
+    """Base class of the runtime formula algebra.
+
+    Equality and hashing are structural, over the node types and their
+    non-formula fields, as dataclass methods would be; they walk on an
+    explicit stack, since eager next forms nest deeper than the recursion
+    limit.  A node type outside :data:`CHILDREN` compares by identity.
+    """
 
     __slots__ = ()
 
+    def __eq__(self, other: object) -> bool:
+        if type(self) not in CHILDREN:
+            return True if self is other else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            kids = CHILDREN.get(kind)
+            if kids is None:
+                # A non-formula operand or a foreign node: its own ``==``.
+                if a != b:
+                    return False
+                continue
+            if type(b) is not kind or _FIELDS[kind](a) != _FIELDS[kind](b):
+                return False
+            pairs.extend(zip(kids(a), kids(b)))
+        return True
 
-@dataclass(frozen=True)
+    def __hash__(self) -> int:
+        if type(self) not in CHILDREN:
+            return object.__hash__(self)
+        return fold(self, CHILDREN, _hash_node)
+
+
+@dataclass(frozen=True, eq=False)
 class Solved(Formula):
     value: Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Next(Formula):
     body: Formula
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Consume(Formula):
     """Bind the current letter and its time, continue with the produced formula.
 
@@ -89,7 +122,7 @@ class Consume(Formula):
     label: str = "consume"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Eventually(Formula):
     timeout: int
     body: Formula
@@ -98,7 +131,7 @@ class Eventually(Formula):
         _check_timeout(self.timeout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Always(Formula):
     timeout: int
     body: Formula
@@ -107,7 +140,7 @@ class Always(Formula):
         _check_timeout(self.timeout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Until(Formula):
     timeout: int
     left: Formula
@@ -117,7 +150,7 @@ class Until(Formula):
         _check_timeout(self.timeout)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Release(Formula):
     timeout: int
     left: Formula
@@ -159,6 +192,20 @@ CHILDREN: Dict[type, Callable[[Any], Tuple[Any, ...]]] = {
     **dict.fromkeys((And, Or, Implies, Until, Release), pair_children),
 }
 _TIMED = (Eventually, Always, Until, Release)
+
+
+def _field_getter(kind: type) -> Callable[[Any], Any]:
+    """The node type's non-formula fields: one value, a tuple, or ``()``."""
+    names = [f.name for f in fields(kind) if f.name not in ("body", "left", "right")]
+    return attrgetter(*names) if names else no_children
+
+
+_FIELDS = {kind: _field_getter(kind) for kind in CHILDREN}
+
+
+def _hash_node(node: Any, kids: Sequence[int]) -> int:
+    kind = type(node)
+    return hash((kind, _FIELDS[kind](node), *kids)) if kind in CHILDREN else hash(node)
 
 
 def fold(phi: Any, children: Mapping[type, Callable[[Any], Sequence[Any]]], visit: Callable) -> Any:

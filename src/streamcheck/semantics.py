@@ -2,12 +2,16 @@
 
 This is the trusted oracle: it has unrestricted lookahead into the word and
 revisits positions freely, so it is only meant for tests and cross-checks,
-not for the property-running hot path.
+not for the property-running hot path.  Within one call of :func:`judge`,
+each operand of a timed operator is judged at most once per position, however
+many windows cover that position (the verdict table of LTL path checking).
+Predicates and consumers must therefore be pure, as ``runtime.Consume``
+already requires: a repeated evaluation is answered from that table.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Sequence, Tuple
+from typing import Any, Callable, Dict, Sequence, Tuple
 
 from . import runtime, truth
 from .truth import Verdict
@@ -66,33 +70,65 @@ WINDOW_FOLDS = {
 
 
 def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
-    """Verdict of ``phi`` at the 1-based ``position`` of ``word``."""
+    """Verdict of ``phi`` at the 1-based ``position`` of ``word``.
+
+    Each window operand is judged at most once per position within this
+    call, so predicates and consumers must be pure.  The table of those
+    verdicts lives only as long as the call.
+    """
     if position < 1:
         raise ValueError("positions are 1-based")
+    return _judge(word, position, phi, {})
+
+
+# Window-operand verdicts of one ``judge`` call, by operand identity.  Each
+# entry holds its operand, which pins the id for the whole call, and the
+# verdicts by position.
+_Memo = Dict[int, Tuple[runtime.Formula, Dict[int, Verdict]]]
+
+
+def _judge(word: Word, position: int, phi: runtime.Formula, memo: _Memo) -> Verdict:
     if isinstance(phi, runtime.Solved):
         return phi.value
     if isinstance(phi, runtime.Not):
-        return truth.neg(judge(word, position, phi.body))
+        return truth.neg(_judge(word, position, phi.body, memo))
     if isinstance(phi, runtime.And):
-        return truth.conj(judge(word, position, phi.left), judge(word, position, phi.right))
+        return truth.conj(_judge(word, position, phi.left, memo), _judge(word, position, phi.right, memo))
     if isinstance(phi, runtime.Or):
-        return truth.disj(judge(word, position, phi.left), judge(word, position, phi.right))
+        return truth.disj(_judge(word, position, phi.left, memo), _judge(word, position, phi.right, memo))
     if isinstance(phi, runtime.Implies):
-        return truth.implies(judge(word, position, phi.left), judge(word, position, phi.right))
+        return truth.implies(_judge(word, position, phi.left, memo), _judge(word, position, phi.right, memo))
     if isinstance(phi, runtime.Next):
-        return judge(word, position + 1, phi.body)
+        return _judge(word, position + 1, phi.body, memo)
     if isinstance(phi, runtime.Consume):
         if position <= len(word):
             value, time = word[position - 1]
-            return judge(word, position + 1, phi.consumer(value, time))
+            return _judge(word, position + 1, phi.consumer(value, time), memo)
         return truth.INCONCLUSIVE
     if isinstance(phi, (runtime.Eventually, runtime.Always, runtime.Until, runtime.Release)):
         fold = WINDOW_FOLDS[type(phi).__name__]
         window = range(position, position + phi.timeout)
         if isinstance(phi, (runtime.Until, runtime.Release)):
-            return fold(window, lambda k: judge(word, k, phi.left), lambda k: judge(word, k, phi.right))
-        return fold(window, lambda k: judge(word, k, phi.body))
+            return fold(window, _operand_at(word, phi.left, memo), _operand_at(word, phi.right, memo))
+        return fold(window, _operand_at(word, phi.body, memo))
     raise runtime.FormulaError(f"cannot judge {phi!r}")
+
+
+def _operand_at(word: Word, operand: runtime.Formula, memo: _Memo) -> Callable[[int], Verdict]:
+    """``k -> verdict of operand at k``, judged once per position and call."""
+    entry = memo.get(id(operand))
+    if entry is None:
+        entry = memo[id(operand)] = (operand, {})
+    verdicts = entry[1]
+
+    def at(k: int) -> Verdict:
+        verdict = verdicts.get(k)
+        if verdict is None:
+            # Stored only once judged: a raising predicate leaves no entry.
+            verdict = verdicts[k] = _judge(word, k, operand, memo)
+        return verdict
+
+    return at
 
 
 def models(word: Word, phi: runtime.Formula) -> Verdict:

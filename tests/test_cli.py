@@ -186,3 +186,19 @@ def test_eval_leq_on_symbols_keeps_its_verdict(tmp_path, capsys):
     scenario.write_text("(scenario (formula (leq a b)) (word (0 0)) (expect T))")
     assert main(["eval", str(scenario), "--oracle"]) == 0
     assert "verdict=T" in capsys.readouterr().out
+
+
+def test_run_oracle_disagreement_is_one_line_and_exit_one(monkeypatch, capsys):
+    from streamcheck import harness, truth
+
+    class UndecidedReference:
+        @staticmethod
+        def models(_word, _phi):
+            return truth.INCONCLUSIVE
+
+    monkeypatch.setattr(harness, "semantics", UndecidedReference)
+    assert main(["run", "hashtags-extracted", "--oracle"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith("hashtags-extracted: ")
+    assert "case 1: stepwise verdict T != reference ?" in err

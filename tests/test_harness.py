@@ -268,6 +268,25 @@ class TestForAllStream:
                 HarnessConfig(min_tests_ok=3, oracle_crosscheck=True),
             )
 
+    def test_oracle_mismatch_names_its_case(self, monkeypatch):
+        class RefutesCaseTwo:
+            calls = 0
+
+            @classmethod
+            def models(cls, _word, _phi):
+                cls.calls += 1
+                return truth.FALSE if cls.calls == 2 else truth.TRUE
+
+        monkeypatch.setattr(harness, "semantics", RefutesCaseTwo)
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 2)
+        with pytest.raises(OracleMismatch, match=r"^case 2: stepwise verdict T != reference F$"):
+            for_all_stream(
+                prefixes,
+                harness.map_elements(str),
+                rt.Always(2, output_nonempty()),
+                HarnessConfig(min_tests_ok=3, oracle_crosscheck=True),
+            )
+
     def test_oracle_does_not_change_the_outcome(self):
         """The subject raises only at step 2, past where the formula is decided."""
 

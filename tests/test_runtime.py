@@ -1,5 +1,6 @@
 """Next-form transformations, letter simplification, safe word length, monitor."""
 
+import dataclasses
 import random
 
 import pytest
@@ -342,3 +343,73 @@ def test_long_word_shapes_agree_with_reference(shape):
     phi, verdict, _step = _long_word_shapes(n)[shape]
     word = [("a", instant) for instant in range(1, 2 * n)]
     assert monitor_verdict(phi, word) is semantics.models(word, phi) is verdict
+
+
+# ---------------------------------------------------------------------------
+# Structural equality and hashing
+
+
+def dataclass_eq(a, b):
+    """Recursive equality as frozen dataclasses define it: same class, then
+    the fields left to right, each by identity first (as tuples compare)."""
+    if a is b:
+        return True
+    if not isinstance(a, rt.Formula) or not isinstance(b, rt.Formula):
+        return a == b
+    if type(a) is not type(b):
+        return False
+    names = [field.name for field in dataclasses.fields(a)]
+    return all(dataclass_eq(getattr(a, name), getattr(b, name)) for name in names)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [Eventually, rt.Always, lambda t, p: Until(t, p, p), lambda t, p: Release(t, p, p)],
+    ids=["Eventually", "Always", "Until", "Release"],
+)
+def test_deep_next_forms_compare_and_hash(make):
+    p = letter_is("a")
+    phi = make(10_000, p)
+    eager, lazy = rt.to_next_form(phi), rt.unfold_fixpoint(phi)
+    assert eager is not lazy
+    assert (eager == lazy) is True
+    assert (eager != lazy) is False
+    assert hash(eager) == hash(lazy)
+    assert eager != rt.to_next_form(make(9_999, p))
+
+
+def test_equality_agrees_with_dataclass_equality_on_corpus():
+    outcomes = []
+    for seed in range(300):
+        atoms = {letter: letter_is(letter) for letter in "abc"}
+        a = random_runtime_formula(random.Random(seed), depth=4, allow_dynamic=True, atoms=atoms)
+        twin = random_runtime_formula(random.Random(seed), depth=4, allow_dynamic=True, atoms=atoms)
+        other = random_runtime_formula(random.Random(seed + 1000), depth=4, atoms=atoms)
+        fresh = random_runtime_formula(random.Random(seed), depth=4)  # its own atoms
+        pairs = [
+            (a, twin),
+            (a, other),
+            (a, fresh),
+            (a, rt.unfold(twin)),
+            (rt.to_next_form(a), rt.unfold_fixpoint(twin)),
+            (rt.Not(a), rt.Next(twin)),
+            (rt.Eventually(2, a), rt.Eventually(3, twin)),
+        ]
+        for x, y in pairs:
+            expected = dataclass_eq(x, y)
+            assert (x == y) is expected and (x != y) is not expected
+            assert (y == x) is expected
+            if expected:
+                assert hash(x) == hash(y)
+            outcomes.append(expected)
+    assert outcomes.count(True) > 400 and outcomes.count(False) > 1000
+
+
+def test_equal_formulas_hash_equal():
+    assert Solved(truth.TRUE) == rt.TOP and hash(Solved(truth.TRUE)) == hash(rt.TOP)
+    p = letter_is("a")
+    assert hash(And(p, Next(p))) == hash(And(p, Next(p)))
+    assert Not(p) != Next(p) and Eventually(2, p) != rt.Always(2, p)
+    assert len({Eventually(2, p), Eventually(2, p), Eventually(3, p)}) == 2
+    assert Consume(p.consumer, 1, "x") != Consume(p.consumer, 1, "y")
+    assert (p == "p") is False and p != None  # noqa: E711

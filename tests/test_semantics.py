@@ -141,3 +141,122 @@ def test_until_refutations():
     assert semantics.models([("c", 0), ("a", 1)], phi) is truth.FALSE
     # window exhausted with the left holding throughout
     assert semantics.models([("b", 0), ("b", 1), ("b", 2), ("b", 3)], phi) is truth.FALSE
+
+
+# ---------------------------------------------------------------------------
+# The per-call verdict table of window operands
+
+
+def reference_judge(word, position, phi):
+    """The judge without a verdict table: each window re-judges its operands."""
+    if position < 1:
+        raise ValueError("positions are 1-based")
+    if isinstance(phi, rt.Solved):
+        return phi.value
+    if isinstance(phi, rt.Not):
+        return truth.neg(reference_judge(word, position, phi.body))
+    if isinstance(phi, rt.And):
+        return truth.conj(reference_judge(word, position, phi.left), reference_judge(word, position, phi.right))
+    if isinstance(phi, rt.Or):
+        return truth.disj(reference_judge(word, position, phi.left), reference_judge(word, position, phi.right))
+    if isinstance(phi, rt.Implies):
+        return truth.implies(reference_judge(word, position, phi.left), reference_judge(word, position, phi.right))
+    if isinstance(phi, rt.Next):
+        return reference_judge(word, position + 1, phi.body)
+    if isinstance(phi, rt.Consume):
+        if position <= len(word):
+            value, time = word[position - 1]
+            return reference_judge(word, position + 1, phi.consumer(value, time))
+        return truth.INCONCLUSIVE
+    if isinstance(phi, (rt.Eventually, rt.Always, rt.Until, rt.Release)):
+        fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+        window = range(position, position + phi.timeout)
+        if isinstance(phi, (rt.Until, rt.Release)):
+            return fold(
+                window,
+                lambda k: reference_judge(word, k, phi.left),
+                lambda k: reference_judge(word, k, phi.right),
+            )
+        return fold(window, lambda k: reference_judge(word, k, phi.body))
+    raise rt.FormulaError(f"cannot judge {phi!r}")
+
+
+def outcome(judge, word, position, phi):
+    try:
+        return judge(word, position, phi)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def refuses_odd_c(letter, time):
+    if letter == "c" and time % 2:
+        raise LookupError(f"no verdict for {letter!r} at {time}")
+    return letter == "c"
+
+
+def shared_window_formula(rng, atoms):
+    """A random formula whose timed operators nest over shared operands, or
+    whose consumers return fresh timed formulas over them."""
+    shared = random_runtime_formula(rng, depth=2, atoms=atoms)
+    t, u = rng.randint(1, 4), rng.randint(1, 4)
+    shapes = [
+        rt.Always(t, rt.Eventually(u, shared)),
+        rt.Until(t, shared, rt.Release(u, shared, shared)),
+        rt.And(rt.Eventually(t, shared), rt.Next(rt.Always(u, rt.Or(shared, atoms["a"])))),
+        rt.Always(t, rt.bind(lambda letter, _time: rt.Eventually(u, atoms[letter]))),
+        rt.Eventually(t, rt.bind(lambda letter, _time: rt.Until(u, shared, letter_is(letter)))),
+    ]
+    return rng.choice(shapes)
+
+
+def test_memoised_judge_agrees_with_the_reference_at_every_position():
+    raised = decided = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        atoms = {letter: letter_is(letter) for letter in "ab"}
+        atoms["c"] = rt.now_time(refuses_odd_c, "c, refusing odd times") if seed % 3 == 0 else letter_is("c")
+        for _ in range(3):
+            if rng.random() < 0.5:
+                phi = random_runtime_formula(rng, depth=4, allow_dynamic=True, atoms=atoms)
+            else:
+                phi = shared_window_formula(rng, atoms)
+            word = random_word(rng)
+            for position in range(1, len(word) + 3):
+                expected = outcome(reference_judge, word, position, phi)
+                assert outcome(semantics.judge, word, position, phi) == expected
+                raised += isinstance(expected, tuple)
+                decided += expected in (truth.TRUE, truth.FALSE)
+    assert raised > 100 and decided > 1000
+
+
+def periodic_word(n, period, seed):
+    """Letters ``True`` exactly at the instants ``phase + k * period``."""
+    phase = random.Random(f"{seed}:{period}").randint(1, period)
+    return [((instant - phase) % period == 0, instant) for instant in range(1, 2 * n)]
+
+
+def test_window_operand_judged_once_per_position():
+    calls = []
+    p = rt.now(lambda letter: calls.append(letter) or letter, "p")
+    phi = rt.Always(400, rt.Eventually(400, p))
+    word = periodic_word(400, 50, 1)
+    monitor = rt.Monitor(phi)
+    for letter, time in word:
+        if monitor.step(letter, time) is not None:
+            break
+    consumed = word[: monitor.consumed]
+    calls.clear()
+    assert semantics.models(consumed, phi) is truth.TRUE is monitor.verdict
+    # without the table: 10,200 calls on this 429-letter word
+    assert len(calls) <= len(consumed) == 429
+
+
+def test_no_verdict_table_outlives_its_call():
+    p = letter_is("a")
+    phi = rt.Always(3, rt.Eventually(2, p))
+    held = [("a", t) for t in range(4)]
+    never = [("b", t) for t in range(4)]
+    assert semantics.models(held, phi) is truth.TRUE
+    assert semantics.models(never, phi) is truth.FALSE
+    assert semantics.models(held, phi) is truth.TRUE
+    assert semantics.judge(never, 2, phi) is truth.FALSE
