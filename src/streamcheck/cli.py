@@ -43,7 +43,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--min-tests", type=positive_int, default=None, help="override min passing cases"
     )
     run.add_argument("--batch-interval-ms", type=positive_int, default=100)
-    run.add_argument("--parallelism", type=positive_int, default=1)
+    run.add_argument(
+        "--parallelism",
+        type=positive_int,
+        default=1,
+        help="accepted for compatibility; cases always run one at a time on one thread",
+    )
     run.add_argument("--oracle", action="store_true", help="cross-check against the reference judge")
     run.add_argument("--verbose", action="store_true", help="print per-step traces")
     run.add_argument("--json", dest="json_path", default=None, help="write reports as JSON")

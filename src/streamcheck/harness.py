@@ -10,8 +10,6 @@ and stops early as soon as the formula is solved.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import chain
 from random import Random
@@ -69,6 +67,13 @@ class IoLetter(Generic[I, O]):
 
 @dataclass(frozen=True)
 class HarnessConfig:
+    """Clock, case budget, seed and oracle switch of a property run.
+
+    ``parallelism`` is validated as positive and otherwise ignored: cases
+    always run one at a time on the calling thread, so it changes neither
+    how or where they run nor any report.
+    """
+
     batch_interval_ms: int = 100
     start_time_ms: int = 0
     min_tests_ok: int = 100
@@ -306,64 +311,43 @@ def for_all_stream(
 ) -> PropertyReport:
     """Try to refute the formula over generated prefixes.
 
-    Runs until ``min_tests_ok`` non-false verdicts accumulate or a
+    Runs cases ``1..min_tests_ok`` in index order, one at a time on the
+    calling thread, until ``min_tests_ok`` non-false verdicts accumulate or a
     counterexample (or user-code error) appears.  Inconclusive verdicts are
-    not failures but count toward the case budget.  Cases run in waves of
-    ``parallelism`` consecutive indices, on threads when it exceeds one; the
-    run stops after the wave that holds the first failure or error, and the
-    results are folded in index order, so the report is the same for every
-    ``parallelism``.  An :class:`OracleMismatch` is not a case error: it
-    propagates, its message prefixed with ``case <index>: ``.
+    not failures but count toward the case budget.  An
+    :class:`OracleMismatch` is not a case error: it propagates, its message
+    prefixed with ``case <index>: ``.
     """
-
-    def run_case(index: int):
+    passed = inconclusive = failed = errors = 0
+    counterexample = None
+    error_message = None
+    for index in range(1, cfg.min_tests_ok + 1):
         batches = batches_of(gen, case_rng(cfg.seed, index))
         try:
             monitor, word = _run_case(batches, transformation, formula, cfg)
         except CaseError as exc:
-            return None, None, exc
+            errors = 1
+            error_message = f"case {index}: {exc}"
+            break
         except OracleMismatch as exc:
             raise OracleMismatch(f"case {index}: {exc}") from exc
         verdict = monitor.verdict
-        if verdict is not truth.FALSE:
-            return verdict, None, None
-        trace = tuple(monitor.trace)
-        # The counterexample keeps the whole prefix: the batches read, then the rest.
-        prefix = StreamPrefix(chain((letter.input for letter, _t in word), batches))
-        failing_step = trace[-1].step if trace else 0
-        return verdict, Counterexample(index, prefix, trace, failing_step), None
-
-    def results(run_wave):
-        end = cfg.min_tests_ok + 1
-        for first in range(1, end, cfg.parallelism):
-            wave = range(first, min(first + cfg.parallelism, end))
-            yield from zip(wave, run_wave(run_case, wave))
-
-    passed = inconclusive = failed = errors = 0
-    counterexample = None
-    error_message = None
-    cases = 0
-    threads = ThreadPoolExecutor(cfg.parallelism) if cfg.parallelism > 1 else nullcontext()
-    with threads as pool:
-        run_wave = map if pool is None else pool.map
-        for index, (verdict, refutation, error) in results(run_wave):
-            cases += 1
-            if error is not None:
-                errors = 1
-                error_message = f"case {index}: {error}"
-                break
-            if verdict is truth.TRUE:
-                passed += 1
-            elif verdict is truth.INCONCLUSIVE:
-                inconclusive += 1
-            else:
-                failed = 1
-                counterexample = refutation
-                break
+        if verdict is truth.TRUE:
+            passed += 1
+        elif verdict is truth.INCONCLUSIVE:
+            inconclusive += 1
+        else:
+            failed = 1
+            trace = tuple(monitor.trace)
+            # The counterexample keeps the whole prefix: the batches read, then the rest.
+            prefix = StreamPrefix(chain((letter.input for letter, _t in word), batches))
+            failing_step = trace[-1].step if trace else 0
+            counterexample = Counterexample(index, prefix, trace, failing_step)
+            break
     return PropertyReport(
         property_name=property_name,
         seed=cfg.seed,
-        cases=cases,
+        cases=passed + inconclusive + failed + errors,
         passed=passed,
         inconclusive=inconclusive,
         failed=failed,

@@ -37,10 +37,11 @@ class MonitorDecided(FormulaError):
 class Formula:
     """Base class of the runtime formula algebra.
 
-    Equality and hashing are structural, over the node types and their
-    non-formula fields, as dataclass methods would be; they walk on an
+    Equality, hashing and ``repr`` are structural, over the node types and
+    their non-formula fields, as dataclass methods would be; they walk on an
     explicit stack, since eager next forms nest deeper than the recursion
-    limit.  A node type outside :data:`CHILDREN` compares by identity.
+    limit.  A node type outside :data:`CHILDREN` compares by identity and
+    prints as an object.
     """
 
     __slots__ = ()
@@ -72,41 +73,46 @@ class Formula:
             return object.__hash__(self)
         return fold(self, CHILDREN, _hash_node)
 
+    def __repr__(self) -> str:
+        if type(self) not in CHILDREN:
+            return object.__repr__(self)
+        return join_text(fold(self, CHILDREN, _repr_node))
 
-@dataclass(frozen=True, eq=False)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Solved(Formula):
     value: Verdict
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Not(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class And(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Or(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Implies(Formula):
     left: Formula
     right: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Next(Formula):
     body: Formula
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Consume(Formula):
     """Bind the current letter and its time, continue with the produced formula.
 
@@ -122,7 +128,7 @@ class Consume(Formula):
     label: str = "consume"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Eventually(Formula):
     timeout: int
     body: Formula
@@ -131,7 +137,7 @@ class Eventually(Formula):
         _check_timeout(self.timeout)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Always(Formula):
     timeout: int
     body: Formula
@@ -140,7 +146,7 @@ class Always(Formula):
         _check_timeout(self.timeout)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Until(Formula):
     timeout: int
     left: Formula
@@ -150,7 +156,7 @@ class Until(Formula):
         _check_timeout(self.timeout)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
 class Release(Formula):
     timeout: int
     left: Formula
@@ -206,6 +212,20 @@ _FIELDS = {kind: _field_getter(kind) for kind in CHILDREN}
 def _hash_node(node: Any, kids: Sequence[int]) -> int:
     kind = type(node)
     return hash((kind, _FIELDS[kind](node), *kids)) if kind in CHILDREN else hash(node)
+
+
+def _repr_node(node: Any, kids: Sequence[Any]) -> Any:
+    """The dataclass ``repr`` of one node, as a rope over its operands' ropes."""
+    kind = type(node)
+    if kind not in CHILDREN:
+        return repr(node)
+    operands = iter(kids)
+    parts: list = []
+    for field in fields(kind):
+        name = field.name
+        value = next(operands) if name in ("body", "left", "right") else repr(getattr(node, name))
+        parts += (", " if parts else "", name, "=", value)
+    return (f"{kind.__qualname__}(", *parts, ")")
 
 
 def fold(phi: Any, children: Mapping[type, Callable[[Any], Sequence[Any]]], visit: Callable) -> Any:

@@ -43,19 +43,23 @@ INCONCLUSIVE = Verdict.INCONCLUSIVE
 TRUE = Verdict.TRUE
 
 
+# The connectives test members by identity: reading ``Verdict.value`` goes
+# through enum's descriptor, a cost the monitor and the reference pay per node.
+
+
 def neg(a: Verdict) -> Verdict:
     """Reflection through INCONCLUSIVE."""
-    return Verdict(2 - a.value)
+    return FALSE if a is TRUE else TRUE if a is FALSE else a
 
 
 def conj(a: Verdict, b: Verdict) -> Verdict:
     """Lattice meet."""
-    return a if a.value <= b.value else b
+    return a if a is FALSE or b is TRUE else b
 
 
 def disj(a: Verdict, b: Verdict) -> Verdict:
     """Lattice join."""
-    return a if a.value >= b.value else b
+    return a if a is TRUE or b is FALSE else b
 
 
 def implies(a: Verdict, b: Verdict) -> Verdict:

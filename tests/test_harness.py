@@ -1,6 +1,7 @@
 """Stream simulator: transformations, test-case runs, property reports."""
 
 import random
+import threading
 
 import pytest
 
@@ -305,7 +306,8 @@ class TestForAllStream:
         assert plain.passed == 3
         assert report_to_json(checked) == report_to_json(plain)
 
-    def test_refuted_parallel_run_stops_after_the_first_wave(self):
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_refuted_run_draws_only_the_refuted_prefix(self, parallelism):
         drawn = []
 
         def counted(rng):
@@ -316,10 +318,30 @@ class TestForAllStream:
             counted,
             harness.filter_elements(lambda x: False),
             rt.Always(4, output_nonempty()),
-            HarnessConfig(min_tests_ok=200, parallelism=4),
+            HarnessConfig(min_tests_ok=200, parallelism=parallelism),
         )
         assert report.failed == 1 and report.cases == 1
-        assert len(drawn) <= 4
+        assert len(drawn) == 1
+
+    def test_cases_run_on_the_calling_thread(self):
+        threads = set()
+
+        def recorded(rng):
+            threads.add(threading.get_ident())
+            return gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 3)(rng)
+
+        def step(state, batch, _t):
+            threads.add(threading.get_ident())
+            return state, batch
+
+        report = for_all_stream(
+            recorded,
+            harness.Transformation(None, step),
+            rt.Always(3, output_nonempty()),
+            HarnessConfig(min_tests_ok=8, parallelism=4),
+        )
+        assert report.passed == 8
+        assert threads == {threading.get_ident()}
 
     def test_parallel_equals_sequential(self):
         prefixes = gen.until(

@@ -1,6 +1,7 @@
 """Formula walkers on the explicit-stack fold, against the recursive walkers
 they replace, and on next forms deeper than Python's recursion limit."""
 
+import dataclasses
 import random
 import tracemalloc
 
@@ -170,6 +171,14 @@ class _Recursive:
         if isinstance(phi, Release):
             return f"({r(phi.left)} R[{phi.timeout}] {r(phi.right)})"
         raise rt.FormulaError(f"cannot render {phi!r}")
+
+    @staticmethod
+    def repr(phi):
+        """The dataclass ``__repr__``: every field by name, in declaration order."""
+        if not isinstance(phi, rt.Formula):
+            return repr(phi)
+        args = (f"{f.name}={_Recursive.repr(getattr(phi, f.name))}" for f in dataclasses.fields(phi))
+        return f"{type(phi).__qualname__}({', '.join(args)})"
 
     # -- symbolic -----------------------------------------------------------
 
@@ -446,12 +455,19 @@ def test_runtime_walkers_agree_with_recursion(name):
             assert outcome(new, node) == outcome(old, node)
 
 
+def test_repr_is_the_dataclass_repr():
+    for phi in [*runtime_formulas(), *ODD_RUNTIME]:
+        for node in subformulas(phi, rt.CHILDREN):
+            assert repr(node) == _Recursive.repr(node)
+
+
 def test_eager_next_forms_agree_on_their_walkers():
     for phi in runtime_formulas():
         expanded = rt.to_next_form(phi)
         assert rt.is_next_form(expanded)
         assert rt.size(expanded) == _Recursive.size(expanded)
         assert rt.render(expanded) == _Recursive.render(expanded)
+        assert repr(expanded) == _Recursive.repr(expanded)
         assert outcome(rt.safe_word_length, expanded) == outcome(
             _Recursive.safe_word_length, expanded
         )
@@ -558,6 +574,7 @@ def test_eager_route_has_no_recursion_cliff(timed):
     assert rt.is_next_form(expanded)
     assert rt.safe_word_length(expanded) == DEEP
     assert rt.render(expanded).count("X") == DEEP - 1
+    assert repr(expanded).count("Next(body=") == DEEP - 1
     assert same_tree(rt.unfold_fixpoint(timed), expanded)
 
 
