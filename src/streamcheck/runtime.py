@@ -128,42 +128,51 @@ class Consume(Formula):
     label: str = "consume"
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Eventually(Formula):
-    timeout: int
-    body: Formula
+class Timed(Formula):
+    """Base of the timed operators, which carry a timeout.
+
+    A timed node keeps the result of :func:`unfold` in ``_unfolded``, which
+    is not a dataclass field: it takes no part in ``==``, ``hash`` or
+    ``repr``.  The next form a formula's runs have reached therefore lives
+    as long as the formula and is freed with it.
+    """
+
+    __slots__ = ("_unfolded",)
 
     def __post_init__(self) -> None:
         _check_timeout(self.timeout)
+        object.__setattr__(self, "_unfolded", None)
+
+    def __reduce__(self) -> Tuple[type, tuple]:
+        # Copies and unpickled nodes are rebuilt through ``__init__``, which
+        # sets their ``_unfolded``: the dataclass state holds fields only.
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Always(Formula):
+class Eventually(Timed):
     timeout: int
     body: Formula
 
-    def __post_init__(self) -> None:
-        _check_timeout(self.timeout)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True)
+class Always(Timed):
+    timeout: int
+    body: Formula
 
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Until(Formula):
+class Until(Timed):
     timeout: int
     left: Formula
     right: Formula
 
-    def __post_init__(self) -> None:
-        _check_timeout(self.timeout)
-
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True)
-class Release(Formula):
+class Release(Timed):
     timeout: int
     left: Formula
     right: Formula
-
-    def __post_init__(self) -> None:
-        _check_timeout(self.timeout)
 
 
 def _check_timeout(t: int) -> None:
@@ -197,7 +206,6 @@ CHILDREN: Dict[type, Callable[[Any], Tuple[Any, ...]]] = {
     **dict.fromkeys((Not, Next, Eventually, Always), body_child),
     **dict.fromkeys((And, Or, Implies, Until, Release), pair_children),
 }
-_TIMED = (Eventually, Always, Until, Release)
 
 
 def _field_getter(kind: type) -> Callable[[Any], Any]:
@@ -421,27 +429,21 @@ def is_next_form(phi: Formula) -> bool:
     return fold(phi, CHILDREN, lambda node, kids: type(node) in _NEXT_FORM_TYPES and all(kids))
 
 
-# Memo keyed by node identity; keeping the key object in the entry pins its
-# id, so a hit is valid exactly when the stored key *is* the argument.
-_UNFOLD_MEMO: Dict[int, Tuple["Formula", "Formula"]] = {}
-_UNFOLD_MEMO_LIMIT = 8192
-
-
 def unfold(phi: Formula) -> Formula:
     """Rewrite one lazy layer: the returned formula has a next-form head.
 
     Timed operators visible without crossing a ``Next`` or ``Consume``
     boundary are expanded one instant; the operator kept for later instants
-    stays folded inside ``Next``.  Results are memoized per node.
+    stays folded inside ``Next``.  A :class:`Timed` node stores its result,
+    so every run of a formula shares the unfoldings reached so far.
     """
-    hit = _UNFOLD_MEMO.get(id(phi))
-    if hit is not None and hit[0] is phi:
-        return hit[1]
-    result = _unfold(phi)
-    if len(_UNFOLD_MEMO) >= _UNFOLD_MEMO_LIMIT:
-        _UNFOLD_MEMO.clear()
-    _UNFOLD_MEMO[id(phi)] = (phi, result)
-    return result
+    if isinstance(phi, Timed):
+        result = phi._unfolded
+        if result is None:
+            result = _unfold(phi)
+            object.__setattr__(phi, "_unfolded", result)
+        return result
+    return _unfold(phi)
 
 
 def _unfold(phi: Formula) -> Formula:
@@ -521,7 +523,7 @@ def _to_next_form_node(phi: Formula, kids: Sequence[Formula]) -> Formula:
         return _REBUILD[kind](*kids)
     if kind is Solved or kind is Consume:
         return phi
-    if kind in _TIMED:
+    if issubclass(kind, Timed):
         return next_form_chain(kind.__name__, phi.timeout, kids, _ALGEBRA)
     raise FormulaError(f"cannot transform {phi!r}")
 
@@ -531,19 +533,9 @@ def to_next_form(phi: Formula) -> Formula:
     return fold(phi, CHILDREN, _to_next_form_node)
 
 
-def _unfolded_children(phi: Formula) -> Tuple[Formula, ...]:
-    phi = unfold(phi)
-    return CHILDREN[type(phi)](phi)
-
-
 def unfold_fixpoint(phi: Formula) -> Formula:
     """Apply :func:`unfold` through every ``Next`` body until none remain folded."""
-    # The memo makes the second unfold of each node a lookup.
-    return fold(
-        phi,
-        dict.fromkeys(CHILDREN, _unfolded_children),
-        lambda node, kids: _to_next_form_node(unfold(node), kids),
-    )
+    return fold(unfold(phi), {**CHILDREN, Next: lambda n: (unfold(n.body),)}, _to_next_form_node)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +569,7 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
             return UNDECIDED
         value, time = letter
         return phi.consumer(value, time)
-    if isinstance(phi, (Eventually, Always, Until, Release)):
+    if isinstance(phi, Timed):
         return letter_simplify(unfold(phi), letter)
     raise FormulaError(f"cannot simplify {phi!r}")
 
@@ -674,7 +666,7 @@ def _safe_length_node(phi: Formula, kids: Sequence[int]) -> int:
     length = max(kids, default=0)
     if kind is Next:
         return length + 1
-    if kind in _TIMED:
+    if issubclass(kind, Timed):
         return length + (phi.timeout - 1)
     return length
 

@@ -105,7 +105,7 @@ def _judge(word: Word, position: int, phi: runtime.Formula, memo: _Memo) -> Verd
             value, time = word[position - 1]
             return _judge(word, position + 1, phi.consumer(value, time), memo)
         return truth.INCONCLUSIVE
-    if isinstance(phi, (runtime.Eventually, runtime.Always, runtime.Until, runtime.Release)):
+    if isinstance(phi, runtime.Timed):
         fold = WINDOW_FOLDS[type(phi).__name__]
         window = range(position, position + phi.timeout)
         if isinstance(phi, (runtime.Until, runtime.Release)):

@@ -348,12 +348,6 @@ class Interpretation:
     predicates: Mapping[str, Callable[..., bool]] = field(default_factory=dict)
     constants: Tuple[str, ...] = ()
 
-    @classmethod
-    def free_constants(cls, *names: str, predicates: Optional[Mapping[str, Callable[..., bool]]] = None) -> "Interpretation":
-        """Initial model over the given constants: each symbol denotes itself."""
-        functions = {name: (lambda name=name: name) for name in names}
-        return cls(functions=functions, predicates=dict(predicates or {}), constants=tuple(names))
-
 
 def eval_term(term: Term, interp: Interpretation) -> Any:
     """Evaluate a closed term by structural folding."""

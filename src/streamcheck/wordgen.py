@@ -138,20 +138,11 @@ def _generate(phi: SymFormula, interp: Interpretation, rng: random.Random) -> Ge
     return GEN_ERR
 
 
-def as_batch_word(batches: Sequence[FrozenSet[object]], start: int = 0, step: int = 1):
-    """Pair generated batches with a monotone clock, yielding judgeable letters."""
-    return [
-        (symbolic.Const(frozenset(batch)), start + i * step)
-        for i, batch in enumerate(batches)
-    ]
+def as_batch_word(batches: Sequence[FrozenSet[object]]):
+    """Pair generated batches with the clock ``0, 1, 2, ...``, yielding judgeable letters."""
+    return [(symbolic.Const(frozenset(batch)), i) for i, batch in enumerate(batches)]
 
 
-def relaxed_judge(
-    phi: SymFormula,
-    batches: Sequence[FrozenSet[object]],
-    interp: Interpretation,
-    start: int = 0,
-    step: int = 1,
-) -> Verdict:
+def relaxed_judge(phi: SymFormula, batches: Sequence[FrozenSet[object]], interp: Interpretation) -> Verdict:
     """Judge ``phi`` over a word of batches, reading equality as containment."""
-    return symbolic.judge(as_batch_word(batches, start, step), 1, phi, interp, relaxed=True)
+    return symbolic.judge(as_batch_word(batches), 1, phi, interp, relaxed=True)

@@ -1,7 +1,11 @@
 """Next-form transformations, letter simplification, safe word length, monitor."""
 
+import copy
 import dataclasses
+import gc
+import pickle
 import random
+import weakref
 
 import pytest
 
@@ -96,6 +100,53 @@ class TestLazyUnfold:
         for _ in range(300):
             phi = random_runtime_formula(rng, depth=4)
             assert rt.unfold_fixpoint(phi) == rt.to_next_form(phi)
+
+    def test_a_dropped_formula_leaves_nothing_behind(self):
+        class Marker:
+            pass
+
+        def formula_holding(marker):
+            return rt.Always(5, Eventually(5, rt.now(lambda letter: letter is marker)))
+
+        marker = Marker()
+        ref = weakref.ref(marker)
+        phi = formula_holding(marker)
+        del marker
+        monitor = rt.Monitor(phi)
+        for time in range(3):
+            monitor.step("x", time)
+        fixpoint = rt.unfold_fixpoint(phi)
+        del phi, monitor, fixpoint
+        gc.collect()
+        assert ref() is None
+
+    def test_unfolding_is_kept_however_many_formulas_unfold(self):
+        phi = Eventually(3, letter_is("a"))
+        first = rt.unfold(phi)
+        for _ in range(10_000):
+            rt.unfold(rt.Always(2, letter_is("b")))
+        assert rt.unfold(phi) is first
+
+    @pytest.mark.parametrize(
+        "make",
+        [Eventually, rt.Always, lambda t, p: Until(t, p, p), lambda t, p: Release(t, p, p)],
+        ids=["Eventually", "Always", "Until", "Release"],
+    )
+    def test_unfolding_leaves_equality_hash_and_repr_alone(self, make):
+        p = letter_is("a")
+        phi, twin = make(3, p), make(3, p)
+        before = (hash(phi), repr(phi))
+        first = rt.unfold(phi)
+        assert rt.unfold(phi) is first
+        assert phi == twin and (hash(phi), repr(phi)) == before == (hash(twin), repr(twin))
+
+    def test_copies_unfold_afresh(self):
+        phi = rt.Always(3, Eventually(2, rt.TOP))
+        first = rt.unfold(phi)
+        for clone in (copy.copy(phi), copy.deepcopy(phi), pickle.loads(pickle.dumps(phi))):
+            assert clone == phi
+            unfolded = rt.unfold(clone)
+            assert unfolded == first and unfolded is not first
 
 
 class TestLetterSimplify:

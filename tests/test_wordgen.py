@@ -114,6 +114,12 @@ class TestRelaxedJudge:
         phi = sym.eq("a", "a")
         assert relaxed_judge(phi, [frozenset()], INTERP) is truth.TRUE
 
+    def test_batches_are_judged_at_times_zero_one_two(self):
+        batches = [frozenset({"a"}), frozenset(), frozenset({"b"})]
+        word = wordgen.as_batch_word(batches)
+        assert [time for _, time in word] == [0, 1, 2]
+        assert [letter.value for letter, _ in word] == batches
+
 
 class TestGeneratedCorpus:
     def test_soundness_and_progress(self):
