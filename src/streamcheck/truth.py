@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class Verdict(enum.Enum):
@@ -85,19 +85,3 @@ def disj_any(values: Iterable[Verdict]) -> Verdict:
         result = disj(result, v)
     return result
 
-
-_UNARY = {"not": neg}
-_BINARY = {"and": conj, "or": disj, "implies": implies}
-
-
-def apply_connective(op: str, a: Verdict, b: Optional[Verdict] = None) -> Verdict:
-    """Apply a named propositional connective; ``b`` is required iff ``op`` is binary."""
-    if op in _UNARY:
-        if b is not None:
-            raise ValueError(f"connective {op!r} is unary")
-        return _UNARY[op](a)
-    if op in _BINARY:
-        if b is None:
-            raise ValueError(f"connective {op!r} is binary")
-        return _BINARY[op](a, b)
-    raise ValueError(f"unknown connective {op!r}")

@@ -260,3 +260,87 @@ def test_no_verdict_table_outlives_its_call():
     assert semantics.models(never, phi) is truth.FALSE
     assert semantics.models(held, phi) is truth.TRUE
     assert semantics.judge(never, 2, phi) is truth.FALSE
+
+
+def refusing_atoms():
+    atoms = {letter: letter_is(letter) for letter in "ab"}
+    atoms["c"] = rt.now_time(refuses_odd_c, "c, refusing odd times")
+    return atoms
+
+
+def long_window_word(rng, kind):
+    """A word of 0–80 letters: ``a`` every few instants (periodic), ``b``
+    only (never), or random letters at nondecreasing times."""
+    length = rng.randint(0, 80)
+    if kind == "random":
+        time = 0
+        word = []
+        for _ in range(length):
+            time += rng.randint(0, 3)
+            word.append((rng.choice("abc"), time))
+        return word
+    period, phase = rng.randint(2, 15), rng.randint(0, 14)
+    letters = ["a" if kind == "periodic" and (i - phase) % period == 0 else "b" for i in range(length)]
+    return [(letter, i) for i, letter in enumerate(letters)]
+
+
+def long_window_formula(rng, atoms):
+    """One timed operator, a nested ``G(F)`` / ``F(G)``, or one operand
+    object under both an ``Eventually`` and an ``Always``; timeouts 1–60."""
+    x = rng.choice(
+        [
+            atoms["a"],
+            atoms["c"],
+            rt.Or(atoms["a"], atoms["c"]),
+            rt.Next(atoms["a"]),
+            random_runtime_formula(rng, depth=2, atoms=atoms),
+        ]
+    )
+    y = rng.choice([atoms["a"], atoms["b"], atoms["c"]])
+    t, u = rng.randint(1, 60), rng.randint(1, 60)
+    shapes = [
+        rt.Eventually(t, x),
+        rt.Always(t, x),
+        rt.Until(t, x, y),
+        rt.Release(t, x, y),
+        rt.Always(t, rt.Eventually(u, x)),
+        rt.Eventually(t, rt.Always(u, x)),
+        rt.Or(rt.Always(t, x), rt.Eventually(u, x)),
+        rt.And(rt.Eventually(t, x), rt.Always(u, x)),
+    ]
+    return rng.choice(shapes)
+
+
+def test_long_windows_agree_with_the_reference_at_every_position():
+    """Windows of up to 60 instants over words of up to 80 letters, where
+    the skip maps and the single judgment past the word do their work."""
+    raised = decided = 0
+    atoms = refusing_atoms()
+    for seed in range(240):
+        rng = random.Random(seed)
+        phi = long_window_formula(rng, atoms)
+        word = long_window_word(rng, ("periodic", "never", "random")[seed % 3])
+        for position in range(1, len(word) + 3):
+            expected = outcome(reference_judge, word, position, phi)
+            assert outcome(semantics.judge, word, position, phi) == expected
+            raised += isinstance(expected, tuple)
+            decided += expected in (truth.TRUE, truth.FALSE)
+    assert raised > 100 and decided > 2000
+
+
+@pytest.mark.parametrize(
+    "kind,arity", [(rt.Eventually, 1), (rt.Always, 1), (rt.Until, 2), (rt.Release, 2)]
+)
+def test_a_window_past_the_word_is_judged_once(kind, arity):
+    """At timeout 10**9 each window reaches 10**9 positions past a 3-letter
+    word, all of which judge alike."""
+    atoms = refusing_atoms()
+    rng = random.Random(5)
+    for _ in range(40):
+        operands = [random_runtime_formula(rng, depth=2, atoms=atoms) for _ in range(arity)]
+        word = [(rng.choice("abc"), time) for time in range(3)]
+        covering, huge = kind(len(word) + 3, *operands), kind(10**9, *operands)
+        for position in range(1, len(word) + 3):
+            expected = outcome(reference_judge, word, position, covering)
+            assert outcome(semantics.judge, word, position, covering) == expected
+            assert outcome(semantics.judge, word, position, huge) == expected

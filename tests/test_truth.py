@@ -9,7 +9,6 @@ from streamcheck.truth import (
     INCONCLUSIVE,
     TRUE,
     Verdict,
-    apply_connective,
     conj,
     conj_all,
     disj,
@@ -37,14 +36,10 @@ def test_connectives_match_reference_tables():
     neg_table, conj_table, disj_table, implies_table = reference_tables()
     for a in ALL:
         assert neg(a) is neg_table[a]
-        assert apply_connective("not", a) is neg_table[a]
         for b in ALL:
             assert conj(a, b) is conj_table[(a, b)]
             assert disj(a, b) is disj_table[(a, b)]
             assert implies(a, b) is implies_table[(a, b)]
-            assert apply_connective("and", a, b) is conj_table[(a, b)]
-            assert apply_connective("or", a, b) is disj_table[(a, b)]
-            assert apply_connective("implies", a, b) is implies_table[(a, b)]
 
 
 def test_specific_values():
@@ -114,11 +109,3 @@ def test_rendering_round_trip():
     with pytest.raises(ValueError):
         Verdict.from_symbol("X")
 
-
-def test_apply_connective_arity_errors():
-    with pytest.raises(ValueError):
-        apply_connective("not", TRUE, TRUE)
-    with pytest.raises(ValueError):
-        apply_connective("and", TRUE)
-    with pytest.raises(ValueError):
-        apply_connective("xor", TRUE, TRUE)
