@@ -447,7 +447,10 @@ def unfold(phi: Formula) -> Formula:
 
 
 def _unfold(phi: Formula) -> Formula:
-    if isinstance(phi, (Solved, Consume)):
+    """One lazy layer: a timed operator takes its :func:`_expand` law, with the
+    operator one instant shorter folded inside ``Next``, or at timeout 1 its
+    right operand (the body) now."""
+    if isinstance(phi, (Solved, Consume, Next)):
         return phi
     if isinstance(phi, Not):
         return mk_not(unfold(phi.body))
@@ -457,33 +460,32 @@ def _unfold(phi: Formula) -> Formula:
         return mk_or(unfold(phi.left), unfold(phi.right))
     if isinstance(phi, Implies):
         return mk_implies(unfold(phi.left), unfold(phi.right))
-    if isinstance(phi, Next):
-        return phi
-    if isinstance(phi, Eventually):
+    if isinstance(phi, Timed):
+        kind = type(phi)
+        operands = CHILDREN[kind](phi)
+        right = unfold(operands[-1])
         if phi.timeout == 1:
-            return unfold(phi.body)
-        return mk_or(unfold(phi.body), mk_next(Eventually(phi.timeout - 1, phi.body)))
-    if isinstance(phi, Always):
-        if phi.timeout == 1:
-            return unfold(phi.body)
-        return mk_and(unfold(phi.body), mk_next(Always(phi.timeout - 1, phi.body)))
-    if isinstance(phi, Until):
-        if phi.timeout == 1:
-            return unfold(phi.right)
-        return mk_or(
-            unfold(phi.right),
-            mk_and(unfold(phi.left), mk_next(Until(phi.timeout - 1, phi.left, phi.right))),
-        )
-    if isinstance(phi, Release):
-        # Timeout 1: the window ends now, so surviving it means the right
-        # operand holds now (releasing early is subsumed).
-        if phi.timeout == 1:
-            return unfold(phi.right)
-        return mk_or(
-            mk_and(unfold(phi.left), unfold(phi.right)),
-            mk_and(unfold(phi.right), mk_next(Release(phi.timeout - 1, phi.left, phi.right))),
-        )
+            return right
+        left = unfold(operands[0]) if len(operands) == 2 else right
+        later = mk_next(kind(phi.timeout - 1, *operands))
+        return _expand(kind.__name__, left, right, later, mk_or, mk_and)
     raise FormulaError(f"cannot unfold {phi!r}")
+
+
+def _expand(kind: str, left: Any, right: Any, later: Any, or_: Callable, and_: Callable) -> Any:
+    """The one-instant law of a timed operator, in either formula algebra.
+
+    ``kind`` is the operator's class name, ``left`` and ``right`` its operands
+    now (both the body for ``Eventually`` / ``Always``) and ``later`` the
+    next of the operator one instant shorter.
+    """
+    if kind == "Eventually":
+        return or_(right, later)  # F[t]p = p | X F[t-1]p
+    if kind == "Always":
+        return and_(right, later)  # G[t]p = p & X G[t-1]p
+    if kind == "Until":
+        return or_(right, and_(left, later))  # l U[t] r = r | (l & X(l U[t-1] r))
+    return or_(and_(left, right), and_(right, later))  # l R[t] r = (l & r) | (r & X(l R[t-1] r))
 
 
 def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: Sequence[Any]) -> Any:
@@ -492,8 +494,10 @@ def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: S
     ``kind`` is the operator's class name, the same in both algebras, and
     ``operands`` are the next forms of its subformulas, ``(body,)`` or
     ``(left, right)``.  ``algebra`` gives the algebra's or, and, next, true
-    and false.  The chain is right-nested, matching the fixpoint of the lazy
-    unfolding.  A zero window is decided without its operands.
+    and false.  Starting from the timeout-1 base case, the right operand, each
+    instant applies the same :func:`_expand` law as :func:`unfold`, so the
+    chain is right-nested, the fixpoint of the lazy unfolding.  A zero window
+    is decided without its operands.
     """
     or_, and_, next_, true, false = algebra
     if timeout == 0:
@@ -501,15 +505,7 @@ def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: S
     left, right = operands[0], operands[-1]
     acc = right
     for _ in range(timeout - 1):
-        later = next_(acc)
-        if kind == "Eventually":
-            acc = or_(right, later)
-        elif kind == "Always":
-            acc = and_(right, later)
-        elif kind == "Until":
-            acc = or_(right, and_(left, later))
-        else:
-            acc = or_(and_(left, right), and_(right, later))
+        acc = _expand(kind, left, right, next_(acc), or_, and_)
     return acc
 
 
@@ -545,11 +541,13 @@ def unfold_fixpoint(phi: Formula) -> Formula:
 def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     """Partially evaluate ``phi`` against the current letter.
 
-    ``letter`` is a ``(value, time)`` pair, or ``None`` for the empty letter,
-    which forces complete evaluation: every pending consume resolves to
-    INCONCLUSIVE and the result is always ``Solved``.  Timed operators still
-    folded inside the formula are unfolded on demand.
+    ``letter`` is a ``(value, time)`` pair, or ``None`` for the empty letter
+    past the end of the word, which closes ``phi`` in one :func:`_close` fold:
+    the result is ``Solved``, whatever windows are still open.  Timed
+    operators still folded inside the formula are unfolded on demand.
     """
+    if letter is None:
+        return Solved(_close(phi))
     if isinstance(phi, Solved):
         return phi
     if isinstance(phi, Not):
@@ -561,17 +559,36 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     if isinstance(phi, Implies):
         return mk_implies(letter_simplify(phi.left, letter), letter_simplify(phi.right, letter))
     if isinstance(phi, Next):
-        if letter is None:
-            return letter_simplify(phi.body, None)
         return phi.body
     if isinstance(phi, Consume):
-        if letter is None:
-            return UNDECIDED
         value, time = letter
         return phi.consumer(value, time)
     if isinstance(phi, Timed):
         return letter_simplify(unfold(phi), letter)
     raise FormulaError(f"cannot simplify {phi!r}")
+
+
+_CONNECTIVES = {Not: truth.neg, And: truth.conj, Or: truth.disj, Implies: truth.implies}
+
+
+def _close_node(phi: Formula, kids: Sequence[Verdict]) -> Verdict:
+    kind = type(phi)
+    if kind in _CONNECTIVES:
+        return _CONNECTIVES[kind](*kids)
+    if kind is Solved:
+        return phi.value
+    if kind is Consume:
+        return truth.INCONCLUSIVE
+    if kind not in CHILDREN:
+        raise FormulaError(f"cannot simplify {phi!r}")
+    # ``Next`` or a timed operator: every instant past the word judges alike,
+    # join and meet are idempotent, and ``r | (l & r) = (l & r) | (r & r) = r``.
+    return kids[-1]
+
+
+def _close(phi: Formula) -> Verdict:
+    """Verdict of ``phi`` on the empty letters past the end of the word."""
+    return fold(phi, CHILDREN, _close_node)
 
 
 # ---------------------------------------------------------------------------
@@ -784,8 +801,6 @@ class Monitor:
     def finish(self) -> Verdict:
         if self.verdict is None:
             current = letter_simplify(self._current, None)
-            while not isinstance(current, Solved):  # one pass suffices; loop is a guard
-                current = letter_simplify(current, None)
             self._current = current
             self.verdict = current.value
             self._pending.append((None, current, self.verdict))

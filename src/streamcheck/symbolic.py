@@ -280,44 +280,14 @@ def substitute_term(term: Term, bindings: Mapping[str, Term]) -> Term:
 def substitute(phi: SymFormula, bindings: Mapping[str, Term]) -> SymFormula:
     """Replace free occurrences of each bound name by its closed term, in one walk.
 
-    A consume rebinding a name shields its body from that name's
-    replacement.  Timeout terms participate in the substitution.  A firing
-    consume binds ``{time_var: Lit(time), var: letter}``: when both binders
-    share a name, the letter wins.
+    Every node is rebuilt from its :func:`node_terms`, timeouts included, and
+    its :data:`CHILDREN`, in field order; a predicate keeps its name.  A
+    consume rebinding a name shields its body from that name's replacement.
+    A firing consume binds ``{time_var: Lit(time), var: letter}``: when both
+    binders share a name, the letter wins.
     """
-    if isinstance(phi, (TrueFormula, FalseFormula)):
-        return phi
-    if isinstance(phi, Pred):
-        return Pred(phi.name, tuple(substitute_term(a, bindings) for a in phi.args))
-    if isinstance(phi, Eq):
-        return Eq(substitute_term(phi.left, bindings), substitute_term(phi.right, bindings))
-    if isinstance(phi, Not):
-        return Not(substitute(phi.body, bindings))
-    if isinstance(phi, And):
-        return And(substitute(phi.left, bindings), substitute(phi.right, bindings))
-    if isinstance(phi, Or):
-        return Or(substitute(phi.left, bindings), substitute(phi.right, bindings))
-    if isinstance(phi, Implies):
-        return Implies(substitute(phi.left, bindings), substitute(phi.right, bindings))
-    if isinstance(phi, Next):
-        return Next(substitute(phi.body, bindings))
-    if isinstance(phi, Eventually):
-        return Eventually(substitute_term(phi.timeout, bindings), substitute(phi.body, bindings))
-    if isinstance(phi, Always):
-        return Always(substitute_term(phi.timeout, bindings), substitute(phi.body, bindings))
-    if isinstance(phi, Until):
-        return Until(
-            substitute_term(phi.timeout, bindings),
-            substitute(phi.left, bindings),
-            substitute(phi.right, bindings),
-        )
-    if isinstance(phi, Release):
-        return Release(
-            substitute_term(phi.timeout, bindings),
-            substitute(phi.left, bindings),
-            substitute(phi.right, bindings),
-        )
-    if isinstance(phi, Consume):
+    kind = type(phi)
+    if kind is Consume:
         if phi.var in bindings or phi.time_var in bindings:
             bindings = {
                 name: term
@@ -327,7 +297,16 @@ def substitute(phi: SymFormula, bindings: Mapping[str, Term]) -> SymFormula:
             if not bindings:
                 return phi
         return Consume(phi.var, phi.time_var, substitute(phi.body, bindings))
-    raise SymbolicError(f"unknown formula {phi!r}")
+    children = CHILDREN.get(kind)
+    if children is None:
+        raise SymbolicError(f"unknown formula {phi!r}")
+    terms = node_terms(phi)
+    if kind is Pred:
+        return Pred(phi.name, tuple([substitute_term(term, bindings) for term in terms]))
+    kids = [substitute(sub, bindings) for sub in children(phi)]
+    if not terms:  # no term of its own, as most nodes
+        return kind(*kids)
+    return kind(*[substitute_term(term, bindings) for term in terms], *kids)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +425,11 @@ def judge(
         return judge(word, position + 1, bound, interp, relaxed)
     if isinstance(phi, _TIMED):
         fold = semantics.WINDOW_FOLDS[type(phi).__name__]
-        window = range(position, position + _eval_timeout(phi.timeout, interp))
+        timeout = _eval_timeout(phi.timeout, interp)
+        # As in ``semantics.judge``, a window stops at the first position past
+        # the word, which judges like every later one; a zero window stays empty.
+        past = len(word) + 1
+        window = range(min(position, past), min(position + timeout, past + 1)) if timeout else ()
         if isinstance(phi, (Until, Release)):
             return fold(
                 window,

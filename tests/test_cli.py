@@ -92,6 +92,17 @@ def test_eval_scenario(tmp_path, capsys):
     assert "verdict=T" in out and "reference=T" in out
 
 
+def test_eval_closes_a_huge_open_window(tmp_path, capsys):
+    scenario = tmp_path / "scenario.sexpr"
+    scenario.write_text(
+        "(scenario (formula (eventually 100000000 (consume ?x ?o (= ?x c))))"
+        " (word (a 0) (b 1)) (expect ?))"
+    )
+    assert main(["eval", str(scenario), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict=?" in out and "reference=?" in out
+
+
 def test_eval_mismatch_exits_one(tmp_path, capsys):
     scenario = tmp_path / "scenario.sexpr"
     scenario.write_text(

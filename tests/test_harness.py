@@ -219,6 +219,14 @@ class TestForAllStream:
         assert report.inconclusive == CFG.min_tests_ok
         assert report.passed == 0 and report.failed == 0
 
+    def test_a_window_longer_than_the_prefixes_is_inconclusive(self):
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 5)
+        report = for_all_stream(
+            prefixes, harness.map_elements(str), rt.Always(500, output_nonempty()), CFG
+        )
+        assert report.inconclusive == CFG.min_tests_ok
+        assert report.errors == 0 and report.failed == 0
+
     def test_counterexample_stops_the_run(self):
         prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 4)
         report = for_all_stream(

@@ -261,6 +261,32 @@ class TestMonitor:
             if trace and trace[-1].time_ms is None:
                 assert trace[-1].formula_size == 1
 
+    @pytest.mark.parametrize("timeout", [400, 10_000, 10**9])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda t, p, q: Eventually(t, q),
+            lambda t, p, q: rt.Always(t, p),
+            lambda t, p, q: Until(t, p, q),
+            lambda t, p, q: Release(t, p, q),
+        ],
+        ids=["eventually", "always", "until", "release"],
+    )
+    def test_finish_closes_an_open_window_of_any_length(self, make, timeout):
+        phi = make(timeout, letter_is("a"), letter_is("b"))
+        open_windows = 0
+        for letter in ("a", "b", "c"):
+            monitor = rt.Monitor(phi)
+            monitor.step(letter, 0)
+            open_windows += monitor.verdict is None
+            assert monitor.finish() is semantics.models([(letter, 0)], phi)
+        assert open_windows
+
+    def test_finish_closes_a_deep_eager_next_form(self):
+        monitor = rt.Monitor(rt.to_next_form(Eventually(10_000, letter_is("a"))))
+        assert monitor.step("b", 0) is None
+        assert monitor.finish() is truth.INCONCLUSIVE
+
     def test_stepwise_equals_reference_on_corpus(self):
         rng = random.Random(5)
         for _ in range(300):

@@ -11,6 +11,7 @@ from streamcheck import semantics, symbolic as sym, truth
 
 from corpus import (
     INTERP,
+    consume_eq,
     monitor_verdict,
     random_symbolic_formula,
     random_term_word,
@@ -195,3 +196,49 @@ def test_timeless_formulas_are_position_independent():
             word = random_term_word(rng, max_len=4)
             position = rng.randint(1, 6)
             assert sym.judge(word, position, phi, INTERP) is base
+
+
+_CONNECTIVES = {sym.Not: truth.neg, sym.And: truth.conj, sym.Or: truth.disj, sym.Implies: truth.implies}
+
+
+def unclamped_judge(word, position, phi):
+    """``symbolic.judge`` with every window judged at each of its positions,
+    past the end of the word too."""
+    kind = type(phi)
+    operands = sym.CHILDREN[kind](phi)
+    if kind in _CONNECTIVES:
+        return _CONNECTIVES[kind](*(unclamped_judge(word, position, sub) for sub in operands))
+    if kind is sym.Next:
+        return unclamped_judge(word, position + 1, phi.body)
+    if kind is sym.Consume:
+        if position > len(word):
+            return truth.INCONCLUSIVE
+        letter, time = word[position - 1]
+        bound = sym.substitute(phi.body, {phi.time_var: sym.Lit(time), phi.var: letter})
+        return unclamped_judge(word, position + 1, bound)
+    if operands:
+        window = range(position, position + sym.eval_term(phi.timeout, INTERP))
+        at = [lambda k, sub=sub: unclamped_judge(word, k, sub) for sub in operands]
+        return semantics.WINDOW_FOLDS[kind.__name__](window, *at)
+    return sym.judge(word, position, phi, INTERP)  # a timeless atom
+
+
+class TestJudgeStopsPastTheWord:
+    def test_a_zero_window_stays_empty_past_the_word(self):
+        word = [(sym.App("a"), 0)]
+        tautology = sym.eq("a", "a")
+        assert sym.judge(word, 1, sym.Next(sym.Next(sym.eventually(0, tautology))), INTERP) is truth.FALSE
+        assert sym.judge(word, 1, sym.Next(sym.Next(sym.always(0, sym.Not(tautology)))), INTERP) is truth.TRUE
+
+    def test_a_huge_window_is_judged_at_once(self):
+        word = [(sym.App("a"), 0), (sym.App("b"), 1)]
+        phi = sym.eventually(100_000_000, consume_eq("x", "o", "c"))
+        assert sym.judge(word, 1, phi, INTERP) is truth.INCONCLUSIVE
+
+    def test_agrees_with_every_window_judged_in_full(self):
+        rng = random.Random(23)
+        for _ in range(300):
+            word = random_term_word(rng, max_len=5)
+            phi = random_symbolic_formula(rng, depth=4, max_timeout=len(word) + 3)
+            position = rng.randint(1, len(word) + 3)
+            assert sym.judge(word, position, phi, INTERP) is unclamped_judge(word, position, phi)
