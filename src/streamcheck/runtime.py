@@ -116,7 +116,11 @@ class Next(Formula):
 class Consume(Formula):
     """Bind the current letter and its time, continue with the produced formula.
 
-    ``consumer`` must be a pure function of ``(letter, time)``.  When
+    ``consumer`` must be a pure function of ``(letter, time)``: the monitor
+    calls it at most once per letter, however often the node occurs in the
+    residual, and hands every occurrence the same result.  Nodes are
+    dispatched on their exact type, so a subclass of ``Consume`` (or of any
+    node type) is foreign to the monitor, as it is to :func:`fold`.  When
     ``static_depth`` is present it must equal the safe word length of every
     formula the consumer can return, plus one; constructors that cannot
     guarantee a uniform depth leave it ``None``, which makes
@@ -175,6 +179,9 @@ class Release(Timed):
     right: Formula
 
 
+_TIMED = frozenset((Eventually, Always, Until, Release))
+
+
 def _check_timeout(t: int) -> None:
     if not isinstance(t, int) or t < 1:
         raise FormulaError(f"timeout must be a positive integer, got {t!r}")
@@ -183,6 +190,11 @@ def _check_timeout(t: int) -> None:
 TOP = Solved(truth.TRUE)
 BOTTOM = Solved(truth.FALSE)
 UNDECIDED = Solved(truth.INCONCLUSIVE)
+# The verdict leaves that atoms and the monitor's closing pass return, rather
+# than a fresh node per call.  Constructors keep building fresh nodes:
+# ``merge_obligations`` compares timed operands by identity, and a leaf shared
+# between the operands of two windows would let it merge them.
+_LEAVES = {truth.TRUE: TOP, truth.FALSE: BOTTOM, truth.INCONCLUSIVE: UNDECIDED}
 
 
 # ---------------------------------------------------------------------------
@@ -299,14 +311,14 @@ def now(predicate: Callable[[Any], Any], label: str = "now") -> Consume:
     """
 
     def consumer(letter: Any, _time: Timestamp) -> Formula:
-        return Solved(_as_verdict(predicate(letter)))
+        return _as_solved(predicate(letter))
 
     return Consume(consumer, static_depth=1, label=label)
 
 
 def now_time(predicate: Callable[[Any, Timestamp], Any], label: str = "now_time") -> Consume:
     def consumer(letter: Any, time: Timestamp) -> Formula:
-        return Solved(_as_verdict(predicate(letter, time)))
+        return _as_solved(predicate(letter, time))
 
     return Consume(consumer, static_depth=1, label=label)
 
@@ -320,10 +332,10 @@ def bind(
     return Consume(build, static_depth=static_depth, label=label)
 
 
-def _as_verdict(value: Any) -> Verdict:
-    if isinstance(value, Verdict):
-        return value
-    return Verdict.from_bool(bool(value))
+def _as_solved(value: Any) -> Solved:
+    if type(value) is Verdict:
+        return _LEAVES[value]
+    return TOP if value else BOTTOM
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +344,20 @@ def _as_verdict(value: Any) -> Verdict:
 
 
 def mk_not(phi: Formula) -> Formula:
-    if isinstance(phi, Solved):
+    if type(phi) is Solved:
         return Solved(truth.neg(phi.value))
     return Not(phi)
 
 
 def mk_and(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Solved) and isinstance(right, Solved):
-        return Solved(truth.conj(left.value, right.value))
-    if isinstance(left, Solved):
+    if type(left) is Solved:
+        if type(right) is Solved:
+            return Solved(truth.conj(left.value, right.value))
         if left.value is truth.FALSE:
             return left
         if left.value is truth.TRUE:
             return right
-    elif isinstance(right, Solved):
+    elif type(right) is Solved:
         if right.value is truth.FALSE:
             return right
         if right.value is truth.TRUE:
@@ -354,14 +366,14 @@ def mk_and(left: Formula, right: Formula) -> Formula:
 
 
 def mk_or(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Solved) and isinstance(right, Solved):
-        return Solved(truth.disj(left.value, right.value))
-    if isinstance(left, Solved):
+    if type(left) is Solved:
+        if type(right) is Solved:
+            return Solved(truth.disj(left.value, right.value))
         if left.value is truth.TRUE:
             return left
         if left.value is truth.FALSE:
             return right
-    elif isinstance(right, Solved):
+    elif type(right) is Solved:
         if right.value is truth.TRUE:
             return right
         if right.value is truth.FALSE:
@@ -370,14 +382,14 @@ def mk_or(left: Formula, right: Formula) -> Formula:
 
 
 def mk_implies(left: Formula, right: Formula) -> Formula:
-    if isinstance(left, Solved) and isinstance(right, Solved):
-        return Solved(truth.implies(left.value, right.value))
-    if isinstance(left, Solved):
+    if type(left) is Solved:
+        if type(right) is Solved:
+            return Solved(truth.implies(left.value, right.value))
         if left.value is truth.FALSE:
             return TOP
         if left.value is truth.TRUE:
             return right
-    elif isinstance(right, Solved):
+    elif type(right) is Solved:
         if right.value is truth.TRUE:
             return right
         if right.value is truth.FALSE:
@@ -387,7 +399,7 @@ def mk_implies(left: Formula, right: Formula) -> Formula:
 
 def mk_next(body: Formula) -> Formula:
     # A solved formula keeps its value at every instant, so the shift is free.
-    if isinstance(body, Solved):
+    if type(body) is Solved:
         return body
     return Next(body)
 
@@ -435,41 +447,48 @@ def unfold(phi: Formula) -> Formula:
     Timed operators visible without crossing a ``Next`` or ``Consume``
     boundary are expanded one instant; the operator kept for later instants
     stays folded inside ``Next``.  A :class:`Timed` node stores its result,
-    so every run of a formula shares the unfoldings reached so far.
+    so every run of a formula shares the unfoldings reached so far.  A
+    conjunction or disjunction whose operands come back unchanged and
+    unsolved is returned itself.
     """
-    if isinstance(phi, Timed):
+    kind = type(phi)
+    if kind is Next or kind is Consume or kind is Solved:
+        return phi
+    if kind is And or kind is Or:
+        left, right = unfold(phi.left), unfold(phi.right)
+        if (
+            left is phi.left
+            and right is phi.right
+            and type(left) is not Solved
+            and type(right) is not Solved
+        ):
+            return phi
+        return mk_and(left, right) if kind is And else mk_or(left, right)
+    if kind in _TIMED:
         result = phi._unfolded
         if result is None:
-            result = _unfold(phi)
+            result = _unfold_timed(phi)
             object.__setattr__(phi, "_unfolded", result)
         return result
-    return _unfold(phi)
+    if kind is Not:
+        return mk_not(unfold(phi.body))
+    if kind is Implies:
+        return mk_implies(unfold(phi.left), unfold(phi.right))
+    raise FormulaError(f"cannot unfold {phi!r}")
 
 
-def _unfold(phi: Formula) -> Formula:
-    """One lazy layer: a timed operator takes its :func:`_expand` law, with the
+def _unfold_timed(phi: Timed) -> Formula:
+    """One lazy layer of a timed operator: its :func:`_expand` law, with the
     operator one instant shorter folded inside ``Next``, or at timeout 1 its
     right operand (the body) now."""
-    if isinstance(phi, (Solved, Consume, Next)):
-        return phi
-    if isinstance(phi, Not):
-        return mk_not(unfold(phi.body))
-    if isinstance(phi, And):
-        return mk_and(unfold(phi.left), unfold(phi.right))
-    if isinstance(phi, Or):
-        return mk_or(unfold(phi.left), unfold(phi.right))
-    if isinstance(phi, Implies):
-        return mk_implies(unfold(phi.left), unfold(phi.right))
-    if isinstance(phi, Timed):
-        kind = type(phi)
-        operands = CHILDREN[kind](phi)
-        right = unfold(operands[-1])
-        if phi.timeout == 1:
-            return right
-        left = unfold(operands[0]) if len(operands) == 2 else right
-        later = mk_next(kind(phi.timeout - 1, *operands))
-        return _expand(kind.__name__, left, right, later, mk_or, mk_and)
-    raise FormulaError(f"cannot unfold {phi!r}")
+    kind = type(phi)
+    operands = CHILDREN[kind](phi)
+    right = unfold(operands[-1])
+    if phi.timeout == 1:
+        return right
+    left = unfold(operands[0]) if len(operands) == 2 else right
+    later = mk_next(kind(phi.timeout - 1, *operands))
+    return _expand(kind.__name__, left, right, later, mk_or, mk_and)
 
 
 def _expand(kind: str, left: Any, right: Any, later: Any, or_: Callable, and_: Callable) -> Any:
@@ -519,7 +538,7 @@ def _to_next_form_node(phi: Formula, kids: Sequence[Formula]) -> Formula:
         return _REBUILD[kind](*kids)
     if kind is Solved or kind is Consume:
         return phi
-    if issubclass(kind, Timed):
+    if kind in _TIMED:
         return next_form_chain(kind.__name__, phi.timeout, kids, _ALGEBRA)
     raise FormulaError(f"cannot transform {phi!r}")
 
@@ -545,26 +564,47 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     past the end of the word, which closes ``phi`` in one :func:`_close` fold:
     the result is ``Solved``, whatever windows are still open.  Timed
     operators still folded inside the formula are unfolded on demand.
+
+    A ``Consume`` node that occurs more than once fires once per letter: its
+    result is kept in a table keyed by the node's identity, which lives only
+    for this call.  Nodes are dispatched on their exact type, so a subclass
+    of a node type is foreign here, as it is to :func:`fold`.
     """
     if letter is None:
-        return Solved(_close(phi))
-    if isinstance(phi, Solved):
+        return _LEAVES[_close(phi)]
+    value, time = letter
+    return _simplify(phi, value, time, {})
+
+
+def _simplify(phi: Formula, value: Any, time: Timestamp, fired: Dict[int, Formula]) -> Formula:
+    """:func:`letter_simplify` on a letter; ``fired`` maps the ``id`` of each
+    ``Consume`` already fired on it to the formula its consumer returned."""
+    kind = type(phi)
+    if kind is Solved:
         return phi
-    if isinstance(phi, Not):
-        return mk_not(letter_simplify(phi.body, letter))
-    if isinstance(phi, And):
-        return mk_and(letter_simplify(phi.left, letter), letter_simplify(phi.right, letter))
-    if isinstance(phi, Or):
-        return mk_or(letter_simplify(phi.left, letter), letter_simplify(phi.right, letter))
-    if isinstance(phi, Implies):
-        return mk_implies(letter_simplify(phi.left, letter), letter_simplify(phi.right, letter))
-    if isinstance(phi, Next):
+    if kind is Or:
+        return mk_or(
+            _simplify(phi.left, value, time, fired), _simplify(phi.right, value, time, fired)
+        )
+    if kind is And:
+        return mk_and(
+            _simplify(phi.left, value, time, fired), _simplify(phi.right, value, time, fired)
+        )
+    if kind is Next:
         return phi.body
-    if isinstance(phi, Consume):
-        value, time = letter
-        return phi.consumer(value, time)
-    if isinstance(phi, Timed):
-        return letter_simplify(unfold(phi), letter)
+    if kind is Consume:
+        result = fired.get(id(phi))
+        if result is None:
+            result = fired[id(phi)] = phi.consumer(value, time)
+        return result
+    if kind is Not:
+        return mk_not(_simplify(phi.body, value, time, fired))
+    if kind is Implies:
+        return mk_implies(
+            _simplify(phi.left, value, time, fired), _simplify(phi.right, value, time, fired)
+        )
+    if kind in _TIMED:
+        return _simplify(unfold(phi), value, time, fired)
     raise FormulaError(f"cannot simplify {phi!r}")
 
 
@@ -610,12 +650,13 @@ def merge_obligations(phi: Formula) -> Formula:
     object, and no deep comparison is paid.  Bodies of ``Next`` and of timed
     operators are not entered.  Returns ``phi`` itself when nothing merged.
     """
-    if isinstance(phi, (And, Or)):
+    kind = type(phi)
+    if kind is And or kind is Or:
         return _merge_chain(phi)
-    if isinstance(phi, Not):
+    if kind is Not:
         body = merge_obligations(phi.body)
         return phi if body is phi.body else mk_not(body)
-    if isinstance(phi, Implies):
+    if kind is Implies:
         left, right = merge_obligations(phi.left), merge_obligations(phi.right)
         if left is phi.left and right is phi.right:
             return phi
@@ -773,7 +814,7 @@ class Monitor:
         self.verdict: Optional[Verdict] = None
         self._pending: list[Tuple[Optional[Timestamp], Formula, Optional[Verdict]]] = []
         self._trace: list[StepTrace] = []
-        if isinstance(current, Solved):
+        if type(current) is Solved:
             self.verdict = current.value
 
     @property
@@ -793,7 +834,7 @@ class Monitor:
         current = unfold(merge_obligations(current))
         self._current = current
         self.consumed += 1
-        if isinstance(current, Solved):
+        if type(current) is Solved:
             self.verdict = current.value
         self._pending.append((time_ms, current, self.verdict))
         return self.verdict

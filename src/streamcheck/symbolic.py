@@ -10,6 +10,7 @@ with a timestamp.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import is_not
 from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import runtime, semantics, truth
@@ -270,21 +271,25 @@ def constants(phi: SymFormula) -> Set[str]:
 
 
 def substitute_term(term: Term, bindings: Mapping[str, Term]) -> Term:
+    """Replace each bound variable of ``term``; a term in which no variable is
+    bound is returned itself."""
     if isinstance(term, Var):
         return bindings.get(term.name, term)
-    if isinstance(term, App):
-        return App(term.symbol, tuple(substitute_term(a, bindings) for a in term.args))
+    if isinstance(term, App) and term.args:
+        args = tuple([substitute_term(a, bindings) for a in term.args])
+        return App(term.symbol, args) if any(map(is_not, args, term.args)) else term
     return term
 
 
 def substitute(phi: SymFormula, bindings: Mapping[str, Term]) -> SymFormula:
     """Replace free occurrences of each bound name by its closed term, in one walk.
 
-    Every node is rebuilt from its :func:`node_terms`, timeouts included, and
-    its :data:`CHILDREN`, in field order; a predicate keeps its name.  A
-    consume rebinding a name shields its body from that name's replacement.
-    A firing consume binds ``{time_var: Lit(time), var: letter}``: when both
-    binders share a name, the letter wins.
+    A node is rebuilt from its :func:`node_terms`, timeouts included, and its
+    :data:`CHILDREN`, in field order, when one of them changed; otherwise it
+    is returned itself.  A predicate keeps its name.  A consume rebinding a
+    name shields its body from that name's replacement.  A firing consume
+    binds ``{time_var: Lit(time), var: letter}``: when both binders share a
+    name, the letter wins.
     """
     kind = type(phi)
     if kind is Consume:
@@ -296,17 +301,20 @@ def substitute(phi: SymFormula, bindings: Mapping[str, Term]) -> SymFormula:
             }
             if not bindings:
                 return phi
-        return Consume(phi.var, phi.time_var, substitute(phi.body, bindings))
+        body = substitute(phi.body, bindings)
+        return phi if body is phi.body else Consume(phi.var, phi.time_var, body)
     children = CHILDREN.get(kind)
     if children is None:
         raise SymbolicError(f"unknown formula {phi!r}")
     terms = node_terms(phi)
+    new_terms = [substitute_term(term, bindings) for term in terms]
     if kind is Pred:
-        return Pred(phi.name, tuple([substitute_term(term, bindings) for term in terms]))
-    kids = [substitute(sub, bindings) for sub in children(phi)]
-    if not terms:  # no term of its own, as most nodes
-        return kind(*kids)
-    return kind(*[substitute_term(term, bindings) for term in terms], *kids)
+        return Pred(phi.name, tuple(new_terms)) if any(map(is_not, new_terms, terms)) else phi
+    kids = children(phi)
+    new_kids = [substitute(sub, bindings) for sub in kids]
+    if any(map(is_not, new_kids, kids)) or any(map(is_not, new_terms, terms)):
+        return kind(*new_terms, *new_kids)
+    return phi
 
 
 # ---------------------------------------------------------------------------

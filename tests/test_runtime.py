@@ -1,5 +1,6 @@
 """Next-form transformations, letter simplification, safe word length, monitor."""
 
+import collections
 import copy
 import dataclasses
 import gc
@@ -9,8 +10,10 @@ import weakref
 
 import pytest
 
+from streamcheck import harness
 from streamcheck import runtime as rt
 from streamcheck import semantics, truth
+from streamcheck.examples import EXAMPLES
 from streamcheck.runtime import (
     And,
     Consume,
@@ -295,6 +298,20 @@ class TestMonitor:
             assert monitor_verdict(phi, word) is semantics.models(word, phi)
 
 
+def test_a_subclass_of_a_node_type_is_foreign():
+    class Later(Eventually):
+        __slots__ = ()
+
+    class Atom(Consume):
+        __slots__ = ()
+
+    for phi in (Later(3, letter_is("a")), Atom(lambda letter, time: rt.TOP, 1, "atom")):
+        with pytest.raises(rt.FormulaError):
+            rt.to_next_form(phi)
+        with pytest.raises(rt.FormulaError):
+            rt.Monitor(And(phi, letter_is("a"))).step("a", 0)
+
+
 def test_semantic_equivalence_of_next_form_on_corpus():
     rng = random.Random(31)
     for _ in range(300):
@@ -490,3 +507,258 @@ def test_equal_formulas_hash_equal():
     assert len({Eventually(2, p), Eventually(2, p), Eventually(3, p)}) == 2
     assert Consume(p.consumer, 1, "x") != Consume(p.consumer, 1, "y")
     assert (p == "p") is False and p != None  # noqa: E711
+
+
+# ---------------------------------------------------------------------------
+# The monitor step against the three-pass step it replaced: a recursive
+# ``letter_simplify`` that fires every occurrence of a shared atom, then
+# ``merge_obligations``, then ``unfold``, dispatched with ``isinstance`` and
+# keeping no unfolding on the nodes.
+
+
+def _reference_simplify(phi, letter):
+    if isinstance(phi, Solved):
+        return phi
+    if isinstance(phi, Not):
+        return rt.mk_not(_reference_simplify(phi.body, letter))
+    if isinstance(phi, And):
+        return rt.mk_and(_reference_simplify(phi.left, letter), _reference_simplify(phi.right, letter))
+    if isinstance(phi, Or):
+        return rt.mk_or(_reference_simplify(phi.left, letter), _reference_simplify(phi.right, letter))
+    if isinstance(phi, Implies):
+        return rt.mk_implies(
+            _reference_simplify(phi.left, letter), _reference_simplify(phi.right, letter)
+        )
+    if isinstance(phi, Next):
+        return phi.body
+    if isinstance(phi, Consume):
+        value, time = letter
+        return phi.consumer(value, time)
+    return _reference_simplify(_reference_unfold(phi), letter)
+
+
+_KEEP_SMALLER = {And: (Eventually, Until), Or: (rt.Always, Release)}
+
+
+def _reference_merge(phi):
+    if isinstance(phi, (And, Or)):
+        return _reference_merge_chain(phi)
+    if isinstance(phi, Not):
+        body = _reference_merge(phi.body)
+        return phi if body is phi.body else rt.mk_not(body)
+    if isinstance(phi, Implies):
+        left, right = _reference_merge(phi.left), _reference_merge(phi.right)
+        if left is phi.left and right is phi.right:
+            return phi
+        return rt.mk_implies(left, right)
+    return phi
+
+
+def _reference_merge_chain(phi):
+    kind = type(phi)
+    items, stack = [], [phi]
+    while stack:
+        node = stack.pop()
+        if type(node) is kind:
+            stack += (node.right, node.left)
+        else:
+            items.append(node)
+    slots, kept, changed = {}, [], False
+    for item in items:
+        op = type(item)
+        if op in (Eventually, rt.Always):
+            key = (op, id(item.body))
+        elif op in (Until, Release):
+            key = (op, id(item.left), id(item.right))
+        else:
+            merged = _reference_merge(item)
+            changed = changed or merged is not item
+            kept.append(merged)
+            continue
+        slot = slots.get(key)
+        if slot is None:
+            slots[key] = len(kept)
+            kept.append(item)
+            continue
+        changed = True
+        held = kept[slot].timeout
+        if item.timeout < held if op in _KEEP_SMALLER[kind] else item.timeout > held:
+            kept[slot] = item
+    if not changed:
+        return phi
+    result = kept[-1]
+    for item in reversed(kept[:-1]):
+        result = kind(item, result)
+    return result
+
+
+def _reference_unfold(phi):
+    if isinstance(phi, (Solved, Consume, Next)):
+        return phi
+    if isinstance(phi, Not):
+        return rt.mk_not(_reference_unfold(phi.body))
+    if isinstance(phi, And):
+        return rt.mk_and(_reference_unfold(phi.left), _reference_unfold(phi.right))
+    if isinstance(phi, Or):
+        return rt.mk_or(_reference_unfold(phi.left), _reference_unfold(phi.right))
+    if isinstance(phi, Implies):
+        return rt.mk_implies(_reference_unfold(phi.left), _reference_unfold(phi.right))
+    kind = type(phi)
+    operands = rt.CHILDREN[kind](phi)
+    right = _reference_unfold(operands[-1])
+    if phi.timeout == 1:
+        return right
+    left = _reference_unfold(operands[0]) if len(operands) == 2 else right
+    later = rt.mk_next(kind(phi.timeout - 1, *operands))
+    return rt._expand(kind.__name__, left, right, later, rt.mk_or, rt.mk_and)
+
+
+def _reference_step(phi, letter):
+    return _reference_unfold(_reference_merge(_reference_simplify(phi, letter)))
+
+
+class ReferenceMonitor(rt.Monitor):
+    """``Monitor`` stepping with the three-pass reference step."""
+
+    def step(self, letter, time_ms):
+        if self.verdict is not None:
+            raise rt.MonitorDecided("monitor already reached a verdict")
+        current = _reference_step(self._current, (letter, time_ms))
+        self._current = current
+        self.consumed += 1
+        if isinstance(current, Solved):
+            self.verdict = current.value
+        self._pending.append((time_ms, current, self.verdict))
+        return self.verdict
+
+
+def _count_firings(formula):
+    """Make every ``Consume`` in ``formula`` count its firings per letter.
+
+    Returns a counter keyed by ``(id(letter), label)``; the letters are kept
+    alive, so two steps never share an ``id``.
+    """
+    counts, letters, wrapped = collections.Counter(), [], set()
+
+    def wrap(node, _kids):
+        if type(node) is Consume and id(node) not in wrapped:
+            wrapped.add(id(node))
+            consumer = node.consumer
+
+            def counting(letter, time):
+                letters.append(letter)
+                counts[id(letter), node.label] += 1
+                return consumer(letter, time)
+
+            object.__setattr__(node, "consumer", counting)
+
+    rt.fold(formula, rt.CHILDREN, wrap)
+    return counts
+
+
+def _assert_same_residual(current, residual, static):
+    assert rt.render(current) == rt.render(residual)
+    assert rt.size(current) == rt.size(residual)
+    assert not static or current == residual
+
+
+def test_step_equals_the_three_pass_reference_on_corpus():
+    """After every letter the residual equals the reference's, with equal
+    size, and so do the verdicts.
+
+    Static atoms are compared with ``==``.  A dynamic atom builds its
+    continuation afresh in each run, and consumers compare by identity, so
+    residuals holding one are compared by their rendering (labels, timeouts,
+    verdicts) and size.
+    """
+    steps = strict = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        atoms = {letter: letter_is(letter) for letter in "abc"}
+        cases = [
+            (random_runtime_formula(rng, depth=4, atoms=atoms), True),
+            (random_runtime_formula(rng, depth=4), True),
+            (random_runtime_formula(rng, depth=4, allow_dynamic=True, atoms=atoms), False),
+        ]
+        for phi, static in cases:
+            word = random_word(rng, max_len=12)
+            monitor, residual = rt.Monitor(phi), _reference_unfold(phi)
+            _assert_same_residual(monitor._current, residual, static)
+            for letter, time in word:
+                if monitor.verdict is not None:
+                    break
+                verdict = monitor.step(letter, time)
+                residual = _reference_step(residual, (letter, time))
+                assert verdict is (residual.value if type(residual) is Solved else None)
+                _assert_same_residual(monitor._current, residual, static)
+                steps += 1
+                strict += static
+            assert monitor.finish() is rt.letter_simplify(residual, None).value
+    assert steps > 1000 and strict > 600
+
+
+def test_a_shared_atom_fires_once_per_letter():
+    """On the never word, G[400] F[400] p decides F at letter 400, calling
+    ``p`` once per letter; the three-pass step called it 799 times."""
+    for monitor_type, calls in ((ReferenceMonitor, 799), (rt.Monitor, 400)):
+        letters = []
+        p = rt.now(lambda letter: letters.append(letter) or letter == "p", "p")
+        monitor = monitor_type(rt.Always(400, Eventually(400, p)))
+        for instant in range(1, 1000):
+            if monitor.step("a", instant) is not None:
+                break
+        assert (monitor.verdict, monitor.consumed, len(letters)) == (truth.FALSE, 400, calls)
+
+
+def test_banning_fires_each_atom_at_most_once_per_step(monkeypatch):
+    spec = EXAMPLES["banning-stateless"]
+    cfg = harness.HarnessConfig(min_tests_ok=spec.min_tests_ok, seed=0)
+    reports, most = [], []
+    for monitor_type in (ReferenceMonitor, rt.Monitor):
+        prefix_gen, subject, formula = spec.build()
+        counts = _count_firings(formula)
+        monkeypatch.setattr(harness, "Monitor", monitor_type)
+        report = harness.for_all_stream(prefix_gen, subject, formula, cfg, property_name=spec.name)
+        reports.append(harness.report_to_json(report))
+        most.append(max(counts.values()))
+    assert most == [2, 1]
+    assert reports[0] == reports[1]
+
+
+def test_a_shared_atom_that_raises_fails_the_same_step(monkeypatch):
+    def fails_at_second_batch(letter):
+        return 1 / (letter.time - 100) != 0
+
+    messages = []
+    for monitor_type in (ReferenceMonitor, rt.Monitor):
+        p = rt.now(fails_at_second_batch, "p")
+        monkeypatch.setattr(harness, "Monitor", monitor_type)
+        with pytest.raises(harness.PredicateError) as caught:
+            harness.run_test_case(
+                [[1], [2], [3]],
+                harness.map_elements(str),
+                rt.Always(3, And(p, Eventually(2, p))),
+                harness.HarnessConfig(batch_interval_ms=100),
+            )
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[1].startswith("predicate failed at step 2: ZeroDivisionError")
+
+
+def test_a_shared_bind_builds_one_continuation_per_letter():
+    """A shared ``bind`` fires once per letter, so its occurrences share one
+    continuation.  When that continuation holds timed operators over operands
+    built afresh per call, identity-keyed ``merge_obligations`` now merges
+    the copies the three-pass step kept apart: the residual shrinks, and the
+    verdict is the same.  No bundled example has such a bind."""
+    b = rt.bind(lambda _letter, _time: Eventually(3, letter_is("p")), label="b")
+    phi = And(b, b)
+    word = [("a", 0), ("a", 1), ("p", 2)]
+    sizes = []
+    for monitor_type in (ReferenceMonitor, rt.Monitor):
+        monitor = monitor_type(phi)
+        verdicts = [monitor.step(letter, time) for letter, time in word]
+        assert verdicts == [None, None, truth.TRUE]
+        sizes.append([entry.formula_size for entry in monitor.trace])
+    assert sizes == [[11, 11, 1], [5, 5, 1]]
+    assert semantics.models(word, phi) is truth.TRUE

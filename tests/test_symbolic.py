@@ -61,6 +61,23 @@ class TestSubstitute:
                 replaced = sym.substitute(phi, {var: sym.App("a")})
                 assert var not in sym.free_vars(replaced)
 
+    def test_what_no_binding_reaches_is_kept(self):
+        rng = random.Random(3)
+        for _ in range(300):
+            phi = random_symbolic_formula(rng, depth=4)
+            free = sym.free_vars(phi)
+            assert sym.substitute(phi, {}) is phi
+            assert sym.substitute(phi, {"unbound": sym.App("a")}) is phi
+            if free:
+                replaced = sym.substitute(phi, dict.fromkeys(free, sym.App("a")))
+                assert replaced is not phi and not sym.free_vars(replaced)
+        timeout = sym.App("plus", (sym.Var("o"), sym.Lit(6)))
+        closed = sym.pred("leq", sym.App("plus", (sym.App("b"), sym.Lit(1))), "c")
+        phi = sym.And(sym.Always(timeout, sym.eq(sym.Var("x"), "a")), sym.Next(closed))
+        bound = sym.substitute(phi, {"x": sym.App("b")})
+        assert bound == sym.And(sym.Always(timeout, sym.eq("b", "a")), sym.Next(closed))
+        assert bound.left.timeout is timeout and bound.right is phi.right
+
 
 class TestEvalTerm:
     def test_function_application(self):
