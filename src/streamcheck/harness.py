@@ -257,7 +257,12 @@ def _run_case(
     verdict = monitor.verdict
     assert verdict is not None
     if cfg.oracle_crosscheck:
-        expected = semantics.models(word, formula)
+        # The reference may call a predicate the monitor never needed (an
+        # operand of a connective the monitor decided from the other one).
+        try:
+            expected = semantics.models(word, formula)
+        except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
+            raise PredicateError(len(word), exc) from exc
         if expected is not verdict:
             raise OracleMismatch(
                 f"stepwise verdict {verdict.symbol} != reference {expected.symbol}"

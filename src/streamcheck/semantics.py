@@ -1,4 +1,4 @@
-"""Direct recursive judgment of runtime formulas over finite timed words.
+"""Reference judgment of runtime formulas over finite timed words.
 
 This is the trusted oracle: it has unrestricted lookahead into the word and
 revisits positions freely, so it is only meant for tests and cross-checks,
@@ -19,13 +19,19 @@ Every position past the word judges alike: a ``Consume`` there is ``?`` and
 calls no user code.  So a window of any of the four operators that reaches
 past the word judges only the first position past it, once, and stops there.
 ``Until`` / ``Release`` still fold their window right to left.
+
+The judgment is one loop over an explicit stack of frames, one per node
+waiting for the verdict of a child, so its depth is bounded by memory, not
+by Python's recursion limit: eager next forms at timeout 10,000 judge as
+their lazy forms do.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from . import runtime, truth
+from .runtime import Always, And, Consume, Eventually, Implies, Next, Not, Or, Release, Solved, Until
 from .truth import Verdict
 
 Word = Sequence[Tuple[Any, int]]
@@ -81,6 +87,34 @@ WINDOW_FOLDS = {
 }
 
 
+# The window operands of one ``judge`` call, by operand identity.  Each entry
+# holds its operand, which pins the id for the whole call, its verdicts by
+# position and its skip maps by neutral verdict: ``skip[i] = j`` records that
+# the operand judges neutral at every position from ``i`` to ``j - 1``.
+_Entry = Tuple[runtime.Formula, Dict[int, Verdict], Dict[Verdict, Dict[int, int]]]
+_Memo = Dict[int, _Entry]
+
+# Frame tags.  A frame waits for the verdict of the node judged above it:
+# _LEFT (tag, connective, node, position) for a connective's left operand,
+# then _RIGHT (tag, connective, left verdict) for its right; _NOT (tag,);
+# _SCAN (tag, operand, verdicts, skip, neutral, position, stop, walked,
+# result) for an ``Eventually`` / ``Always`` window; and
+# _FOLD (tag, is until, first, second, first verdicts, second verdicts,
+# position, start, accumulator, first's verdict or None) for an ``Until`` /
+# ``Release`` window, whose first operand is judged before its second at
+# each position.
+_SCAN, _LEFT, _RIGHT, _NOT, _FOLD = range(5)
+_NOT_FRAME = (_NOT,)
+_CONNECTIVES = {And: truth.conj, Or: truth.disj, Implies: truth.implies}
+
+
+def _entry(memo: _Memo, operand: runtime.Formula) -> _Entry:
+    entry = memo.get(id(operand))
+    if entry is None:
+        entry = memo[id(operand)] = (operand, {}, {})
+    return entry
+
+
 def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
     """Verdict of ``phi`` at the 1-based ``position`` of ``word``.
 
@@ -92,109 +126,153 @@ def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
     and a window's positions past the end of the word are judged once, as
     the first of them: the same predicate call raises first as in a plain
     fold over the whole window.
+
+    The judgment keeps its pending nodes on a stack of its own, not on
+    Python's, and calls predicates and consumers in a fixed order: a
+    connective's left operand before its right, and at each position of an
+    ``Until`` window its right operand before its left (of a ``Release``
+    window, its left before its right).  A node whose type is a subclass of
+    a formula type is foreign, as in the monitor: it raises
+    :class:`runtime.FormulaError`.
     """
     if position < 1:
         raise ValueError("positions are 1-based")
-    return _judge(word, position, phi, {})
-
-
-# The window operands of one ``judge`` call, by operand identity.  Each entry
-# holds its operand, which pins the id for the whole call, its verdicts by
-# position and its skip maps by neutral verdict: ``skip[i] = j`` records that
-# the operand judges neutral at every position from ``i`` to ``j - 1``.
-_Entry = Tuple[runtime.Formula, Dict[int, Verdict], Dict[Verdict, Dict[int, int]]]
-_Memo = Dict[int, _Entry]
-
-
-def _judge(word: Word, position: int, phi: runtime.Formula, memo: _Memo) -> Verdict:
-    if isinstance(phi, runtime.Solved):
-        return phi.value
-    if isinstance(phi, runtime.Not):
-        return truth.neg(_judge(word, position, phi.body, memo))
-    if isinstance(phi, runtime.And):
-        return truth.conj(_judge(word, position, phi.left, memo), _judge(word, position, phi.right, memo))
-    if isinstance(phi, runtime.Or):
-        return truth.disj(_judge(word, position, phi.left, memo), _judge(word, position, phi.right, memo))
-    if isinstance(phi, runtime.Implies):
-        return truth.implies(_judge(word, position, phi.left, memo), _judge(word, position, phi.right, memo))
-    if isinstance(phi, runtime.Next):
-        return _judge(word, position + 1, phi.body, memo)
-    if isinstance(phi, runtime.Consume):
-        if position <= len(word):
-            value, time = word[position - 1]
-            return _judge(word, position + 1, phi.consumer(value, time), memo)
-        return truth.INCONCLUSIVE
-    if isinstance(phi, runtime.Timed):
-        # Every position past the word judges alike, so the window stops at
-        # the first of them.  Repeating it would change nothing: join and
-        # meet are idempotent, and from its seed an ``Until`` / ``Release``
-        # step over a repeated position gives the right operand's verdict at
-        # once, by absorption.
-        past = len(word) + 1
-        window = range(min(position, past), min(position + phi.timeout, past + 1))
-        if isinstance(phi, (runtime.Until, runtime.Release)):
-            fold = WINDOW_FOLDS[type(phi).__name__]
-            return fold(window, _operand_at(word, phi.left, memo), _operand_at(word, phi.right, memo))
-        neutral = truth.FALSE if isinstance(phi, runtime.Eventually) else truth.TRUE
-        return _skip_fold(word, window, phi.body, neutral, memo)
-    raise runtime.FormulaError(f"cannot judge {phi!r}")
-
-
-def _entry(memo: _Memo, operand: runtime.Formula) -> _Entry:
-    entry = memo.get(id(operand))
-    if entry is None:
-        entry = memo[id(operand)] = (operand, {}, {})
-    return entry
-
-
-def _operand_at(word: Word, operand: runtime.Formula, memo: _Memo) -> Callable[[int], Verdict]:
-    """``k -> verdict of operand at k``, judged once per position and call."""
-    verdicts = _entry(memo, operand)[1]
-
-    def at(k: int) -> Verdict:
-        verdict = verdicts.get(k)
-        if verdict is None:
-            # Stored only once judged: a raising predicate leaves no entry.
-            verdict = verdicts[k] = _judge(word, k, operand, memo)
-        return verdict
-
-    return at
-
-
-def _skip_fold(
-    word: Word, window: range, operand: runtime.Formula, neutral: Verdict, memo: _Memo
-) -> Verdict:
-    """Join (``neutral`` F) or meet (``neutral`` T) of ``operand`` over
-    ``window``, ascending, stopping at the first absorbing verdict and
-    stepping over the neutral runs its skip map records."""
-    _, verdicts, skips = _entry(memo, operand)
-    skip = skips.setdefault(neutral, {})
-    result = neutral
-    walked = []  # positions of the neutral run being crossed
-    k, stop = window.start, window.stop
-    while k < stop:
-        j = skip.get(k)
-        if j is not None:
-            walked.append(k)
-            k = j
+    FALSE, INCONCLUSIVE, TRUE = truth.FALSE, truth.INCONCLUSIVE, truth.TRUE
+    last = len(word)
+    past = last + 1
+    memo: _Memo = {}
+    stack: List[tuple] = []
+    node, k = phi, position
+    while True:
+        # Descend from ``node`` at ``k`` until a verdict is known.  A consume
+        # and a next hand their position on to their continuation in place.
+        kind = type(node)
+        if kind is Consume:
+            if k <= last:
+                letter, time = word[k - 1]
+                node = node.consumer(letter, time)
+                k += 1
+                continue
+            verdict = INCONCLUSIVE
+        elif kind is Solved:
+            verdict = node.value
+        elif kind is And or kind is Or or kind is Implies:
+            stack.append((_LEFT, _CONNECTIVES[kind], node, k))
+            node = node.left
             continue
-        verdict = verdicts.get(k)
-        if verdict is None:
-            verdict = verdicts[k] = _judge(word, k, operand, memo)
-        if verdict is neutral:
-            walked.append(k)
+        elif kind is Next:
+            node = node.body
             k += 1
             continue
-        for w in walked:
-            skip[w] = k
-        walked = []
-        if verdict is not truth.INCONCLUSIVE:
+        elif kind is Not:
+            stack.append(_NOT_FRAME)
+            node = node.body
+            continue
+        elif kind is Eventually or kind is Always or kind is Until or kind is Release:
+            # Every position past the word judges alike, so the window stops
+            # at the first of them.  Repeating it would change nothing: join
+            # and meet are idempotent, and from its seed an ``Until`` /
+            # ``Release`` step over a repeated position gives the right
+            # operand's verdict at once, by absorption.
+            start = k if k < past else past
+            stop = k + node.timeout
+            if stop > past:
+                stop = past + 1
+            if kind is Eventually or kind is Always:
+                neutral = FALSE if kind is Eventually else TRUE
+                _, verdicts, skips = _entry(memo, node.body)
+                skip = skips.setdefault(neutral, {})
+                stack.append((_SCAN, node.body, verdicts, skip, neutral, start, stop, [], neutral))
+            else:
+                lefts, rights = _entry(memo, node.left)[1], _entry(memo, node.right)[1]
+                if kind is Until:
+                    frame = (_FOLD, True, node.right, node.left, rights, lefts, stop - 1, start, FALSE, None)
+                else:
+                    frame = (_FOLD, False, node.left, node.right, lefts, rights, stop - 1, start, TRUE, None)
+                stack.append(frame)
+            verdict = None  # the window frame starts without a verdict
+        else:
+            raise runtime.FormulaError(f"cannot judge {node!r}")
+
+        # Ascend: hand ``verdict`` to the waiting frames until one of them
+        # needs another node judged.
+        while stack:
+            frame = stack.pop()
+            tag = frame[0]
+            if tag == _SCAN:
+                _, operand, verdicts, skip, neutral, j, stop, walked, result = frame
+                if verdict is not None:  # the operand's verdict at j, just judged
+                    verdicts[j] = verdict
+                while True:
+                    if verdict is not None:
+                        if verdict is neutral:
+                            walked.append(j)
+                        else:
+                            for w in walked:
+                                skip[w] = j
+                            walked = []
+                            if verdict is not INCONCLUSIVE:
+                                break  # absorbing: the window's verdict
+                            result = verdict
+                        j += 1
+                    while j < stop:
+                        s = skip.get(j)
+                        if s is None:
+                            break
+                        walked.append(j)
+                        j = s
+                    if j >= stop:
+                        for w in walked:
+                            skip[w] = j
+                        verdict = result
+                        break
+                    verdict = verdicts.get(j)
+                    if verdict is None:
+                        stack.append((_SCAN, operand, verdicts, skip, neutral, j, stop, walked, result))
+                        node, k = operand, j
+                        break
+                if verdict is None:
+                    break  # judge the operand at j
+            elif tag == _LEFT:
+                _, connective, parent, k = frame
+                stack.append((_RIGHT, connective, verdict))
+                node = parent.right
+                break
+            elif tag == _RIGHT:
+                verdict = frame[1](frame[2], verdict)
+            elif tag == _NOT:
+                verdict = truth.neg(verdict)
+            else:
+                _, until, first, second, vfirst, vsecond, j, start, acc, a = frame
+                if verdict is not None:  # the verdict at j of the operand asked for
+                    if a is None:
+                        vfirst[j] = verdict
+                    else:
+                        vsecond[j] = verdict
+                while j >= start:
+                    if a is None:
+                        a = vfirst.get(j)
+                        if a is None:
+                            node = first
+                            break
+                    b = vsecond.get(j)
+                    if b is None:
+                        node = second
+                        break
+                    if until:  # a is the right operand, b the left
+                        acc = truth.disj(a, truth.conj(b, acc))
+                    else:  # a is the left operand, b the right
+                        acc = truth.disj(truth.conj(a, b), truth.conj(b, acc))
+                    a = None
+                    j -= 1
+                else:
+                    verdict = acc
+                    continue
+                stack.append((_FOLD, until, first, second, vfirst, vsecond, j, start, acc, a))
+                k = j
+                break
+        else:
             return verdict
-        result = verdict
-        k += 1
-    for w in walked:
-        skip[w] = k
-    return result
 
 
 def models(word: Word, phi: runtime.Formula) -> Verdict:

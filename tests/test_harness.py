@@ -1,5 +1,6 @@
 """Stream simulator: transformations, test-case runs, property reports."""
 
+import dataclasses
 import random
 import threading
 
@@ -259,6 +260,21 @@ class TestForAllStream:
         )
         assert report.errors == 1 and report.failed == 0 and report.cases == 1
         assert report.error_message.startswith("case 1: predicate failed at step 1")
+        assert "ZeroDivisionError" in report.error_message
+
+    def test_a_predicate_only_the_oracle_calls_uses_the_errors_bucket(self):
+        """The monitor decides each ``Or`` from ``p`` and never fires ``q``;
+        the reference judges both operands, so ``q`` raises there only."""
+        p = rt.now(lambda l: True, "p")
+        q = rt.now(lambda l: 1 / 0, "q")
+        phi = rt.Always(3, rt.Or(p, rt.Next(q)))
+        prefixes = gen.always(gen.batch_of_n(1, gen.choose_int(0, 9)), 3)
+        quiet = for_all_stream(prefixes, harness.map_elements(str), phi, CFG)
+        assert quiet.ok() and quiet.passed == CFG.min_tests_ok
+        oracle = dataclasses.replace(CFG, oracle_crosscheck=True)
+        report = for_all_stream(prefixes, harness.map_elements(str), phi, oracle)
+        assert report.errors == 1 and report.failed == 0 and report.cases == 1
+        assert report.error_message.startswith("case 1: predicate failed at step 3")
         assert "ZeroDivisionError" in report.error_message
 
     def test_oracle_mismatch_is_not_a_case_error(self, monkeypatch):

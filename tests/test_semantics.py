@@ -344,3 +344,202 @@ def test_a_window_past_the_word_is_judged_once(kind, arity):
             expected = outcome(reference_judge, word, position, covering)
             assert outcome(semantics.judge, word, position, covering) == expected
             assert outcome(semantics.judge, word, position, huge) == expected
+
+
+# ---------------------------------------------------------------------------
+# The explicit-stack judge makes the calls the recursive judge made
+
+
+class _Recursive:
+    """The judge as it was written before the explicit stack: one Python
+    frame per node, the same verdict table and skip maps."""
+
+    @staticmethod
+    def judge(word, position, phi):
+        if position < 1:
+            raise ValueError("positions are 1-based")
+        return _Recursive._judge(word, position, phi, {})
+
+    @staticmethod
+    def _judge(word, position, phi, memo):
+        j = _Recursive._judge
+        if isinstance(phi, rt.Solved):
+            return phi.value
+        if isinstance(phi, rt.Not):
+            return truth.neg(j(word, position, phi.body, memo))
+        if isinstance(phi, rt.And):
+            return truth.conj(j(word, position, phi.left, memo), j(word, position, phi.right, memo))
+        if isinstance(phi, rt.Or):
+            return truth.disj(j(word, position, phi.left, memo), j(word, position, phi.right, memo))
+        if isinstance(phi, rt.Implies):
+            return truth.implies(j(word, position, phi.left, memo), j(word, position, phi.right, memo))
+        if isinstance(phi, rt.Next):
+            return j(word, position + 1, phi.body, memo)
+        if isinstance(phi, rt.Consume):
+            if position <= len(word):
+                value, time = word[position - 1]
+                return j(word, position + 1, phi.consumer(value, time), memo)
+            return truth.INCONCLUSIVE
+        if isinstance(phi, rt.Timed):
+            past = len(word) + 1
+            window = range(min(position, past), min(position + phi.timeout, past + 1))
+            if isinstance(phi, (rt.Until, rt.Release)):
+                fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+                return fold(
+                    window,
+                    _Recursive._operand_at(word, phi.left, memo),
+                    _Recursive._operand_at(word, phi.right, memo),
+                )
+            neutral = truth.FALSE if isinstance(phi, rt.Eventually) else truth.TRUE
+            return _Recursive._skip_fold(word, window, phi.body, neutral, memo)
+        raise rt.FormulaError(f"cannot judge {phi!r}")
+
+    @staticmethod
+    def _entry(memo, operand):
+        entry = memo.get(id(operand))
+        if entry is None:
+            entry = memo[id(operand)] = (operand, {}, {})
+        return entry
+
+    @staticmethod
+    def _operand_at(word, operand, memo):
+        verdicts = _Recursive._entry(memo, operand)[1]
+
+        def at(k):
+            verdict = verdicts.get(k)
+            if verdict is None:
+                verdict = verdicts[k] = _Recursive._judge(word, k, operand, memo)
+            return verdict
+
+        return at
+
+    @staticmethod
+    def _skip_fold(word, window, operand, neutral, memo):
+        _, verdicts, skips = _Recursive._entry(memo, operand)
+        skip = skips.setdefault(neutral, {})
+        result = neutral
+        walked = []
+        k, stop = window.start, window.stop
+        while k < stop:
+            j = skip.get(k)
+            if j is not None:
+                walked.append(k)
+                k = j
+                continue
+            verdict = verdicts.get(k)
+            if verdict is None:
+                verdict = verdicts[k] = _Recursive._judge(word, k, operand, memo)
+            if verdict is neutral:
+                walked.append(k)
+                k += 1
+                continue
+            for w in walked:
+                skip[w] = k
+            walked = []
+            if verdict is not truth.INCONCLUSIVE:
+                return verdict
+            result = verdict
+            k += 1
+        for w in walked:
+            skip[w] = k
+        return result
+
+
+class At(str):
+    """A letter that knows its 1-based position in the word."""
+
+
+def positioned(word):
+    out = []
+    for position, (letter, time) in enumerate(word, 1):
+        at = At(letter)
+        at.position = position
+        out.append((at, time))
+    return out
+
+
+def recording(phi, calls):
+    """A copy of ``phi`` whose consumers, and the consumers of every
+    continuation they return, append ``(label, position)`` to ``calls``.
+    Shared nodes stay shared; the originals are kept, which pins their ids."""
+    copies = {}
+
+    def copy(node):
+        hit = copies.get(id(node))
+        if hit is not None:
+            return hit[1]
+        kind = type(node)
+        if kind is rt.Consume:
+            def consumer(letter, time, inner=node.consumer, label=node.label):
+                calls.append((label, letter.position))
+                return copy(inner(letter, time))
+
+            new = rt.Consume(consumer, node.static_depth, node.label)
+        elif kind in (rt.Not, rt.Next):
+            new = kind(copy(node.body))
+        elif kind in (rt.And, rt.Or, rt.Implies):
+            new = kind(copy(node.left), copy(node.right))
+        elif kind in (rt.Eventually, rt.Always):
+            new = kind(node.timeout, copy(node.body))
+        elif kind in (rt.Until, rt.Release):
+            new = kind(node.timeout, copy(node.left), copy(node.right))
+        else:  # verdict leaves, and what no judge accepts
+            new = node
+        copies[id(node)] = (node, new)
+        return new
+
+    return copy(phi)
+
+
+def assert_same_calls(word, phi):
+    """Same verdict or exception, after the same consumer calls, at every position."""
+    word = positioned(word)
+    raised = 0
+    for position in range(1, len(word) + 3):
+        new_calls, old_calls = [], []
+        got = outcome(semantics.judge, word, position, recording(phi, new_calls))
+        expected = outcome(_Recursive.judge, word, position, recording(phi, old_calls))
+        assert got == expected
+        assert new_calls == old_calls
+        raised += isinstance(expected, tuple)
+    return raised
+
+
+CORPORA = {
+    "shared-windows": lambda rng, atoms: (shared_window_formula(rng, atoms), random_word(rng)),
+    "long-windows": lambda rng, atoms: (
+        long_window_formula(rng, atoms),
+        long_window_word(rng, rng.choice(("periodic", "never", "random"))),
+    ),
+    "dynamic": lambda rng, atoms: (
+        random_runtime_formula(rng, depth=4, allow_dynamic=True, atoms=atoms),
+        random_word(rng),
+    ),
+}
+
+
+@pytest.mark.parametrize("corpus", list(CORPORA))
+def test_judge_makes_the_calls_of_the_recursive_judge(corpus):
+    raised = 0
+    atoms = refusing_atoms()
+    for seed in range(300):
+        phi, word = CORPORA[corpus](random.Random(seed), atoms)
+        raised += assert_same_calls(word, phi)
+    assert raised > 20
+
+
+def test_a_subclass_of_a_node_type_is_foreign():
+    class Later(rt.Eventually):
+        __slots__ = ()
+
+    class Atom(rt.Consume):
+        __slots__ = ()
+
+    class Both(rt.And):
+        __slots__ = ()
+
+    a = letter_is("a")
+    for phi in (Later(3, a), Atom(lambda letter, time: rt.TOP, 1, "atom"), Both(a, a)):
+        for formula in (phi, rt.Or(a, phi), rt.Always(2, rt.Next(phi))):
+            with pytest.raises(rt.FormulaError, match="cannot judge"):
+                semantics.models([("a", 0), ("b", 1)], formula)

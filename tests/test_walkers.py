@@ -7,7 +7,7 @@ import tracemalloc
 
 import pytest
 
-from streamcheck import cli, sexpr, wordgen
+from streamcheck import cli, semantics, sexpr, truth, wordgen
 from streamcheck import runtime as rt
 from streamcheck import symbolic as sym
 from streamcheck.runtime import (
@@ -576,6 +576,28 @@ def test_eager_route_has_no_recursion_cliff(timed):
     assert rt.render(expanded).count("X") == DEEP - 1
     assert repr(expanded).count("Next(body=") == DEEP - 1
     assert same_tree(rt.unfold_fixpoint(timed), expanded)
+
+
+# A word of DEEP letters with ``a`` only at the last.  The judge walks every
+# one of an eager form's DEEP - 1 nested instants, since a connective judges
+# both of its operands.
+DEEP_WORD = [("b", time) for time in range(DEEP - 1)] + [("a", DEEP - 1)]
+
+
+@pytest.mark.parametrize(
+    "timed,verdict",
+    [
+        (Eventually(DEEP, P), truth.TRUE),
+        (Always(DEEP, P), truth.FALSE),
+        (Until(DEEP, P, Q), truth.TRUE),
+        (Release(DEEP, P, Q), truth.FALSE),
+    ],
+    ids=["eventually", "always", "until", "release"],
+)
+def test_reference_judge_has_no_recursion_cliff(timed, verdict):
+    assert semantics.models(DEEP_WORD, rt.to_next_form(timed)) is verdict
+    assert semantics.models(DEEP_WORD, timed) is verdict
+    assert semantics.models(DEEP_WORD[:3], rt.to_next_form(timed)) is semantics.models(DEEP_WORD[:3], timed)
 
 
 def same_tree(a, b):
