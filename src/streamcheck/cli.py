@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     evaluate = sub.add_parser("eval", help="judge a scenario file (formula, word, expected verdict)")
     evaluate.add_argument("path", help="path to a .sexpr scenario file")
-    evaluate.add_argument("--oracle", action="store_true", help="also judge by direct recursion")
+    evaluate.add_argument("--oracle", action="store_true", help="also run the reference judge")
     return parser
 
 

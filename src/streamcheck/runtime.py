@@ -183,7 +183,7 @@ _TIMED = frozenset((Eventually, Always, Until, Release))
 
 
 def _check_timeout(t: int) -> None:
-    if not isinstance(t, int) or t < 1:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise FormulaError(f"timeout must be a positive integer, got {t!r}")
 
 
@@ -426,7 +426,7 @@ def make_release(timeout: int, left: Formula, right: Formula) -> Formula:
 
 
 def _check_degenerate(t: int) -> None:
-    if not isinstance(t, int) or t < 0:
+    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
         raise FormulaError(f"timeout must be a natural number, got {t!r}")
 
 

@@ -23,7 +23,7 @@ past the word judges only the first position past it, once, and stops there.
 The judgment is one loop over an explicit stack of frames, one per node
 waiting for the verdict of a child, so its depth is bounded by memory, not
 by Python's recursion limit: eager next forms at timeout 10,000 judge as
-their lazy forms do.
+their lazy forms do.  :func:`symbolic.judge` runs on the same loop.
 """
 
 from __future__ import annotations
@@ -78,7 +78,7 @@ def release_fold(
     return acc
 
 
-# The folds by operator class name, which is the same in both formula algebras.
+# The folds by operator class name, for the tests' reference judges.
 WINDOW_FOLDS = {
     "Eventually": eventually_fold,
     "Always": always_fold,
@@ -108,6 +108,10 @@ _NOT_FRAME = (_NOT,)
 _CONNECTIVES = {And: truth.conj, Or: truth.disj, Implies: truth.implies}
 
 
+def _foreign(node: Any) -> runtime.Formula:
+    raise runtime.FormulaError(f"cannot judge {node!r}")
+
+
 def _entry(memo: _Memo, operand: runtime.Formula) -> _Entry:
     entry = memo.get(id(operand))
     if entry is None:
@@ -115,7 +119,7 @@ def _entry(memo: _Memo, operand: runtime.Formula) -> _Entry:
     return entry
 
 
-def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
+def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _foreign) -> Verdict:
     """Verdict of ``phi`` at the 1-based ``position`` of ``word``.
 
     Each window operand is judged at most once per position within this
@@ -131,9 +135,10 @@ def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
     Python's, and calls predicates and consumers in a fixed order: a
     connective's left operand before its right, and at each position of an
     ``Until`` window its right operand before its left (of a ``Release``
-    window, its left before its right).  A node whose type is a subclass of
-    a formula type is foreign, as in the monitor: it raises
-    :class:`runtime.FormulaError`.
+    window, its left before its right).  A node of any other type than the
+    runtime formula types is judged as the node ``lower`` returns for it.
+    By default such a node is foreign, as in the monitor, even a subclass
+    of a formula type: it raises :class:`runtime.FormulaError`.
     """
     if position < 1:
         raise ValueError("positions are 1-based")
@@ -192,7 +197,8 @@ def judge(word: Word, position: int, phi: runtime.Formula) -> Verdict:
                 stack.append(frame)
             verdict = None  # the window frame starts without a verdict
         else:
-            raise runtime.FormulaError(f"cannot judge {node!r}")
+            node = lower(node)
+            continue
 
         # Ascend: hand ``verdict`` to the waiting frames until one of them
         # needs another node judged.

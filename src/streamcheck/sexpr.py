@@ -161,7 +161,10 @@ def scenario_from_node(node: Node) -> Tuple[SymFormula, List[Tuple[Term, int]], 
             word = word_from_node(item)
         elif item[0] == "expect":
             _arity(item, 1)
-            expect = Verdict.from_symbol(str(item[1]))
+            try:
+                expect = Verdict.from_symbol(str(item[1]))
+            except ValueError as exc:
+                raise SexprError(str(exc)) from None
         else:
             raise SexprError(f"unknown scenario entry {item[0]!r}")
     if formula is None or word is None or expect is None:

@@ -1,10 +1,10 @@
 """First-order syntax: terms, formulas, interpretation structures.
 
 Formulas here are purely syntactic.  They are evaluated either directly
-(:func:`judge`, substitution-based, with unrestricted lookahead) or by
-compiling to the runtime algebra (:func:`compile_formula`) and running the
-stepwise monitor.  Letters of the words judged here are closed terms paired
-with a timestamp.
+(:func:`judge`, substitution-based, with unrestricted lookahead, on the
+explicit-stack loop of :func:`semantics.judge`) or by compiling to the
+runtime algebra (:func:`compile_formula`) and running the stepwise monitor.
+Letters of the words judged here are closed terms paired with a timestamp.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from operator import is_not
 from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from . import runtime, semantics, truth
+from . import runtime, semantics
 from .truth import Verdict
 
 
@@ -383,9 +383,44 @@ def _holds(phi: SymFormula, interp: Interpretation, relaxed: bool) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Direct judgment (substitution-based)
+# Direct judgment (substitution-based), on the loop of ``semantics.judge``
 
 Word = Sequence[Tuple[Term, int]]
+
+
+def _lower_atom(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runtime.Formula:
+    return runtime.TOP if _holds(phi, interp, relaxed) else runtime.BOTTOM
+
+
+def _lower_window(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runtime.Formula:
+    kind = type(phi)
+    return _COMPILE[kind](_eval_timeout(phi.timeout, interp), *CHILDREN[kind](phi))
+
+
+def _lower_consume(phi: Consume, interp: Interpretation, relaxed: bool) -> runtime.Formula:
+    body, var, time_var = phi.body, phi.var, phi.time_var
+    return runtime.Consume(lambda letter, time: substitute(body, {time_var: Lit(time), var: letter}))
+
+
+def _unknown(phi: Any, interp: Interpretation, relaxed: bool) -> runtime.Formula:
+    raise SymbolicError(f"unknown formula {phi!r}")
+
+
+# One symbolic node as a runtime node over its symbolic operands.  A zero
+# window is decided without its operands.
+_LOWER: Mapping[type, Callable[[Any, Interpretation, bool], runtime.Formula]] = {
+    TrueFormula: lambda phi, interp, relaxed: runtime.TOP,
+    FalseFormula: lambda phi, interp, relaxed: runtime.BOTTOM,
+    Pred: _lower_atom,
+    Eq: _lower_atom,
+    Not: lambda phi, interp, relaxed: runtime.Not(phi.body),
+    And: lambda phi, interp, relaxed: runtime.And(phi.left, phi.right),
+    Or: lambda phi, interp, relaxed: runtime.Or(phi.left, phi.right),
+    Implies: lambda phi, interp, relaxed: runtime.Implies(phi.left, phi.right),
+    Next: lambda phi, interp, relaxed: runtime.Next(phi.body),
+    **dict.fromkeys(_TIMED, _lower_window),
+    Consume: _lower_consume,
+}
 
 
 def judge(
@@ -397,59 +432,14 @@ def judge(
 ) -> Verdict:
     """Judge a closed symbolic formula directly, by substitution.
 
-    With ``relaxed`` set, equality atoms against batch-valued letters are read
+    It runs on :func:`semantics.judge`: each node is lowered when the
+    judgment reaches it, so predicates are called in that judge's order.  With
+    ``relaxed`` set, equality atoms against batch-valued letters are read
     as containment; used to validate generated words.
     """
-    if isinstance(phi, TrueFormula):
-        return truth.TRUE
-    if isinstance(phi, FalseFormula):
-        return truth.FALSE
-    if isinstance(phi, (Pred, Eq)):
-        return Verdict.from_bool(_holds(phi, interp, relaxed))
-    if isinstance(phi, Not):
-        return truth.neg(judge(word, position, phi.body, interp, relaxed))
-    if isinstance(phi, And):
-        return truth.conj(
-            judge(word, position, phi.left, interp, relaxed),
-            judge(word, position, phi.right, interp, relaxed),
-        )
-    if isinstance(phi, Or):
-        return truth.disj(
-            judge(word, position, phi.left, interp, relaxed),
-            judge(word, position, phi.right, interp, relaxed),
-        )
-    if isinstance(phi, Implies):
-        return truth.implies(
-            judge(word, position, phi.left, interp, relaxed),
-            judge(word, position, phi.right, interp, relaxed),
-        )
-    if isinstance(phi, Next):
-        return judge(word, position + 1, phi.body, interp, relaxed)
-    if isinstance(phi, Consume):
-        if position > len(word):
-            return truth.INCONCLUSIVE
-        letter, time = word[position - 1]
-        bound = substitute(phi.body, {phi.time_var: Lit(time), phi.var: letter})
-        return judge(word, position + 1, bound, interp, relaxed)
-    if isinstance(phi, _TIMED):
-        fold = semantics.WINDOW_FOLDS[type(phi).__name__]
-        timeout = _eval_timeout(phi.timeout, interp)
-        # As in ``semantics.judge``, a window stops at the first position past
-        # the word, which judges like every later one; a zero window stays empty.
-        past = len(word) + 1
-        window = range(min(position, past), min(position + timeout, past + 1)) if timeout else ()
-        if isinstance(phi, (Until, Release)):
-            return fold(
-                window,
-                lambda k: judge(word, k, phi.left, interp, relaxed),
-                lambda k: judge(word, k, phi.right, interp, relaxed),
-            )
-        return fold(window, lambda k: judge(word, k, phi.body, interp, relaxed))
-    raise SymbolicError(f"unknown formula {phi!r}")
-
-
-def models(word: Word, phi: SymFormula, interp: Interpretation, relaxed: bool = False) -> Verdict:
-    return judge(word, 1, phi, interp, relaxed)
+    return semantics.judge(
+        word, position, phi, lambda node: _LOWER.get(type(node), _unknown)(node, interp, relaxed)
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -165,6 +165,10 @@ ILL_FORMED_SCENARIOS = {
         "(scenario (formula (consume ?x ?o (leq (plus ?x b) 5))) (word (0 0)) (expect T))",
         "cannot evaluate",
     ),
+    "unknown_expected_verdict": (
+        "(scenario (formula true) (word (a 0)) (expect X))",
+        "cannot parse",
+    ),
 }
 
 

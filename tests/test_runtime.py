@@ -46,6 +46,17 @@ def test_degenerate_timeout_constructors():
     assert rt.make_eventually(2, rt.TOP) == Eventually(2, rt.TOP)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_boolean_is_no_timeout(flag):
+    a, b = letter_is("a"), letter_is("b")
+    for build in (Eventually, rt.Always, rt.make_eventually, rt.make_always):
+        with pytest.raises(rt.FormulaError, match="timeout must be"):
+            build(flag, a)
+    for build in (Until, Release, rt.make_until, rt.make_release):
+        with pytest.raises(rt.FormulaError, match="timeout must be"):
+            build(flag, a, b)
+
+
 class TestExplicitNextForm:
     def test_eventually_four(self):
         atom = letter_is("c")

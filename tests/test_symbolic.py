@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcheck import runtime as rt
-from streamcheck import semantics, symbolic as sym, truth
+from streamcheck import semantics, symbolic as sym, truth, wordgen
 
 from corpus import (
     INTERP,
     consume_eq,
     monitor_verdict,
+    random_generatable_formula,
     random_symbolic_formula,
     random_term_word,
 )
@@ -259,3 +260,106 @@ class TestJudgeStopsPastTheWord:
             phi = random_symbolic_formula(rng, depth=4, max_timeout=len(word) + 3)
             position = rng.randint(1, len(word) + 3)
             assert sym.judge(word, position, phi, INTERP) is unclamped_judge(word, position, phi)
+
+
+def test_positions_are_one_based():
+    word = [(sym.App("a"), 0), (sym.App("b"), 1)]
+    with pytest.raises(ValueError, match="positions are 1-based"):
+        sym.judge(word, 0, consume_eq("x", "o", "b"), INTERP)
+
+
+# ---------------------------------------------------------------------------
+# Agreement with the recursive judge that ``symbolic.judge`` replaced
+
+
+def recursive_judge(word, position, phi, interp, relaxed=False):
+    """``symbolic.judge`` as it was written before it ran on the loop of
+    ``semantics.judge``: one Python frame per node and window position."""
+    if isinstance(phi, sym.TrueFormula):
+        return truth.TRUE
+    if isinstance(phi, sym.FalseFormula):
+        return truth.FALSE
+    if isinstance(phi, (sym.Pred, sym.Eq)):
+        return truth.Verdict.from_bool(sym._holds(phi, interp, relaxed))
+    if isinstance(phi, sym.Not):
+        return truth.neg(recursive_judge(word, position, phi.body, interp, relaxed))
+    if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+        return _CONNECTIVES[type(phi)](
+            recursive_judge(word, position, phi.left, interp, relaxed),
+            recursive_judge(word, position, phi.right, interp, relaxed),
+        )
+    if isinstance(phi, sym.Next):
+        return recursive_judge(word, position + 1, phi.body, interp, relaxed)
+    if isinstance(phi, sym.Consume):
+        if position > len(word):
+            return truth.INCONCLUSIVE
+        letter, time = word[position - 1]
+        bound = sym.substitute(phi.body, {phi.time_var: sym.Lit(time), phi.var: letter})
+        return recursive_judge(word, position + 1, bound, interp, relaxed)
+    fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+    timeout = sym._eval_timeout(phi.timeout, interp)
+    past = len(word) + 1
+    window = range(min(position, past), min(position + timeout, past + 1)) if timeout else ()
+    operands = sym.CHILDREN[type(phi)](phi)
+    at = [lambda k, sub=sub: recursive_judge(word, k, sub, interp, relaxed) for sub in operands]
+    return fold(window, *at)
+
+
+_TIMED = (sym.Eventually, sym.Always, sym.Until, sym.Release)
+# Timeouts that raise: a negative number, a letter, an ill-typed sum.
+_BAD_TIMEOUTS = (sym.Lit(-1), sym.App("a"), sym.App("plus", (sym.Lit(1), sym.App("b"))))
+
+
+def reshape(rng, phi, faults):
+    """``phi`` with some windows emptied and, with ``faults``, some timeouts
+    and atoms that raise when judged."""
+
+    def visit(node, kids):
+        kind = type(node)
+        if kind is sym.Consume:
+            return sym.Consume(node.var, node.time_var, *kids)
+        if kind is sym.Eq and faults and rng.random() < 0.05:
+            return sym.pred("uninterpreted", node.left)
+        terms = sym.node_terms(node)
+        if kind in _TIMED:
+            roll = rng.random()
+            if roll < 0.2:
+                terms = (sym.Lit(0),)
+            elif faults and roll < 0.3:
+                terms = (rng.choice(_BAD_TIMEOUTS),)
+        return kind(*terms, *kids) if kids else node
+
+    return rt.fold(phi, sym.CHILDREN, visit)
+
+
+def outcome(judge, *args, **kwargs):
+    try:
+        return judge(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+        return type(exc), str(exc)
+
+
+def test_judge_agrees_with_the_recursive_judge():
+    raised = decided = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        word = random_term_word(rng, max_len=5)
+        phi = random_symbolic_formula(rng, depth=4, max_timeout=len(word) + 3)
+        phi = reshape(rng, phi, faults=seed % 4 == 0)
+        for position in (1, rng.randint(1, len(word) + 3)):
+            expected = outcome(recursive_judge, word, position, phi, INTERP)
+            assert outcome(sym.judge, word, position, phi, INTERP) == expected
+            raised += isinstance(expected, tuple)
+            decided += expected in (truth.TRUE, truth.FALSE)
+
+        # Relaxed judging of a generated word, on the next form and the formula.
+        phi = random_generatable_formula(rng, depth=4)
+        expanded = sym.next_form(phi, INTERP)
+        generated = wordgen.generate_word(expanded, INTERP, rng)
+        if generated is wordgen.GEN_ERR:
+            continue
+        batches = wordgen.as_batch_word(generated + [frozenset()] * rng.randrange(3))
+        for formula in (expanded, phi):
+            expected = recursive_judge(batches, 1, formula, INTERP, relaxed=True)
+            assert sym.judge(batches, 1, formula, INTERP, relaxed=True) is expected
+    assert raised >= 20 and decided >= 400

@@ -600,6 +600,34 @@ def test_reference_judge_has_no_recursion_cliff(timed, verdict):
     assert semantics.models(DEEP_WORD[:3], rt.to_next_form(timed)) is semantics.models(DEEP_WORD[:3], timed)
 
 
+SYM_P, SYM_Q = consume_eq("x", "o", "a"), consume_eq("y", "p", "b")
+DEEP_TERM_WORD = [(sym.App(letter), time) for letter, time in DEEP_WORD]
+
+
+@pytest.mark.parametrize(
+    "timed,verdict",
+    [
+        (sym.eventually(DEEP, SYM_P), truth.TRUE),
+        (sym.always(DEEP, SYM_P), truth.FALSE),
+        (sym.until(DEEP, SYM_P, SYM_Q), truth.TRUE),
+        (sym.release(DEEP, SYM_P, SYM_Q), truth.FALSE),
+    ],
+    ids=["eventually", "always", "until", "release"],
+)
+def test_symbolic_judge_has_no_recursion_cliff(timed, verdict):
+    expanded = sym.next_form(timed, INTERP)
+    assert sym.judge(DEEP_TERM_WORD, 1, expanded, INTERP) is verdict
+    assert sym.judge(DEEP_TERM_WORD, 1, timed, INTERP) is verdict
+
+
+def test_relaxed_judge_has_no_recursion_cliff():
+    expanded = sym.next_form(sym.always(DEEP, SYM_P), INTERP)
+    batches = [frozenset({"a"})] * DEEP
+    assert wordgen.relaxed_judge(expanded, batches, INTERP) is truth.TRUE
+    assert wordgen.relaxed_judge(expanded, batches[1:], INTERP) is truth.INCONCLUSIVE
+    assert wordgen.relaxed_judge(expanded, batches[1:] + [frozenset({"b"})], INTERP) is truth.FALSE
+
+
 def same_tree(a, b):
     """Structural equality on an explicit stack; dataclass ``==`` recurses."""
     stack = [(a, b)]
