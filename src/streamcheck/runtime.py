@@ -37,11 +37,12 @@ class MonitorDecided(FormulaError):
 class Formula:
     """Base class of the runtime formula algebra.
 
-    Equality, hashing and ``repr`` are structural, over the node types and
-    their non-formula fields, as dataclass methods would be; they walk on an
-    explicit stack, since eager next forms nest deeper than the recursion
-    limit.  A node type outside :data:`CHILDREN` compares by identity and
-    prints as an object.
+    Node types are frozen slotted dataclasses whose ``__init__`` stores
+    each field through its slot descriptor.  Equality, hashing and ``repr``
+    are structural, over the node types and their non-formula fields, as
+    dataclass methods would be; they walk on an explicit stack, since eager
+    next forms nest deeper than the recursion limit.  A node type outside
+    :data:`CHILDREN` compares by identity and prints as an object.
     """
 
     __slots__ = ()
@@ -79,40 +80,61 @@ class Formula:
         return join_text(fold(self, CHILDREN, _repr_node))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Solved(Formula):
     value: Verdict
 
+    def __init__(self, value: Verdict) -> None:
+        _solved_value(self, value)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Not(Formula):
     body: Formula
 
+    def __init__(self, body: Formula) -> None:
+        _not_body(self, body)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class And(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _and_left(self, left)
+        _and_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Or(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _or_left(self, left)
+        _or_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Implies(Formula):
     left: Formula
     right: Formula
 
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _implies_left(self, left)
+        _implies_right(self, right)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Next(Formula):
     body: Formula
 
+    def __init__(self, body: Formula) -> None:
+        _next_body(self, body)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Consume(Formula):
     """Bind the current letter and its time, continue with the produced formula.
 
@@ -131,21 +153,25 @@ class Consume(Formula):
     static_depth: Optional[int] = None
     label: str = "consume"
 
+    def __init__(
+        self, consumer: Callable, static_depth: Optional[int] = None, label: str = "consume"
+    ) -> None:
+        _consume_consumer(self, consumer)
+        _consume_static_depth(self, static_depth)
+        _consume_label(self, label)
+
 
 class Timed(Formula):
     """Base of the timed operators, which carry a timeout.
 
-    A timed node keeps the result of :func:`unfold` in ``_unfolded``, which
-    is not a dataclass field: it takes no part in ``==``, ``hash`` or
-    ``repr``.  The next form a formula's runs have reached therefore lives
-    as long as the formula and is freed with it.
+    A timeout must be a positive integer, and not a boolean.  A timed node
+    keeps the result of :func:`unfold` in ``_unfolded``, which is not a
+    dataclass field: it takes no part in ``==``, ``hash`` or ``repr``, and a
+    new, copied or unpickled node starts with it ``None``.  The next form a
+    formula's runs have reached therefore lives as long as the formula.
     """
 
     __slots__ = ("_unfolded",)
-
-    def __post_init__(self) -> None:
-        _check_timeout(self.timeout)
-        object.__setattr__(self, "_unfolded", None)
 
     def __reduce__(self) -> Tuple[type, tuple]:
         # Copies and unpickled nodes are rebuilt through ``__init__``, which
@@ -153,31 +179,75 @@ class Timed(Formula):
         return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Eventually(Timed):
     timeout: int
     body: Formula
 
+    def __init__(self, timeout: int, body: Formula) -> None:
+        _check_timeout(timeout)
+        _eventually_timeout(self, timeout)
+        _eventually_body(self, body)
+        _set_unfolded(self, None)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Always(Timed):
     timeout: int
     body: Formula
 
+    def __init__(self, timeout: int, body: Formula) -> None:
+        _check_timeout(timeout)
+        _always_timeout(self, timeout)
+        _always_body(self, body)
+        _set_unfolded(self, None)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Until(Timed):
     timeout: int
     left: Formula
     right: Formula
 
+    def __init__(self, timeout: int, left: Formula, right: Formula) -> None:
+        _check_timeout(timeout)
+        _until_timeout(self, timeout)
+        _until_left(self, left)
+        _until_right(self, right)
+        _set_unfolded(self, None)
 
-@dataclass(frozen=True, eq=False, repr=False, slots=True)
+
+@dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Release(Timed):
     timeout: int
     left: Formula
     right: Formula
 
+    def __init__(self, timeout: int, left: Formula, right: Formula) -> None:
+        _check_timeout(timeout)
+        _release_timeout(self, timeout)
+        _release_left(self, left)
+        _release_right(self, right)
+        _set_unfolded(self, None)
+
+
+# The node types' slot-descriptor setters, bound once: ``And.left.__set__``
+# would bind a method on every call.
+_solved_value = Solved.value.__set__
+_not_body = Not.body.__set__
+_and_left, _and_right = And.left.__set__, And.right.__set__
+_or_left, _or_right = Or.left.__set__, Or.right.__set__
+_implies_left, _implies_right = Implies.left.__set__, Implies.right.__set__
+_next_body = Next.body.__set__
+_consume_consumer, _consume_static_depth = Consume.consumer.__set__, Consume.static_depth.__set__
+_consume_label = Consume.label.__set__
+_set_unfolded = Timed._unfolded.__set__
+_eventually_timeout, _eventually_body = Eventually.timeout.__set__, Eventually.body.__set__
+_always_timeout, _always_body = Always.timeout.__set__, Always.body.__set__
+_until_timeout, _until_left = Until.timeout.__set__, Until.left.__set__
+_until_right = Until.right.__set__
+_release_timeout, _release_left = Release.timeout.__set__, Release.left.__set__
+_release_right = Release.right.__set__
 
 _TIMED = frozenset((Eventually, Always, Until, Release))
 
@@ -468,7 +538,7 @@ def unfold(phi: Formula) -> Formula:
         result = phi._unfolded
         if result is None:
             result = _unfold_timed(phi)
-            object.__setattr__(phi, "_unfolded", result)
+            _set_unfolded(phi, result)
         return result
     if kind is Not:
         return mk_not(unfold(phi.body))
@@ -665,40 +735,41 @@ def merge_obligations(phi: Formula) -> Formula:
 
 
 def _merge_chain(phi: Formula) -> Formula:
+    """:func:`merge_obligations` on an ``And`` or ``Or`` chain, in one walk
+    down each left spine that stacks only the right operands."""
     kind = type(phi)
-    items = []
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        if type(node) is kind:
-            stack.append(node.right)
-            stack.append(node.left)
-        else:
-            items.append(node)
     keep_smaller = _KEEP_SMALLER[kind]
     slots: Dict[tuple, int] = {}
     kept: list = []
     changed = False
-    for item in items:
+    rights: list = []
+    item = phi
+    while True:
+        while type(item) is kind:
+            rights.append(item.right)
+            item = item.left
         op = type(item)
-        if op is Eventually or op is Always:
-            key: tuple = (op, id(item.body))
-        elif op is Until or op is Release:
-            key = (op, id(item.left), id(item.right))
+        if op in _TIMED:
+            if op is Eventually or op is Always:
+                key: tuple = (op, id(item.body))
+            else:
+                key = (op, id(item.left), id(item.right))
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = len(kept)
+                kept.append(item)
+            else:
+                changed = True
+                held = kept[slot].timeout
+                if item.timeout < held if op in keep_smaller else item.timeout > held:
+                    kept[slot] = item
         else:
             merged = merge_obligations(item)
             changed = changed or merged is not item
             kept.append(merged)
-            continue
-        slot = slots.get(key)
-        if slot is None:
-            slots[key] = len(kept)
-            kept.append(item)
-            continue
-        changed = True
-        held = kept[slot].timeout
-        if item.timeout < held if op in keep_smaller else item.timeout > held:
-            kept[slot] = item
+        if not rights:
+            break
+        item = rights.pop()
     if not changed:
         return phi
     result = kept[-1]

@@ -36,57 +36,6 @@ from .truth import Verdict
 
 Word = Sequence[Tuple[Any, int]]
 
-# The folds below spell out the judgment clauses for the timed operators.
-# Over decided sub-verdicts they coincide with the familiar existential /
-# universal readings: eventually is true iff some window position is true and
-# false iff all are false; until is true iff the right operand turns true
-# within the window with the left true before it, and dually for refutation.
-# Inconclusive sub-verdicts (the word ended before a sub-formula resolved)
-# propagate through the three-valued connectives.
-
-
-def eventually_fold(window: Sequence[int], at: Callable[[int], Verdict]) -> Verdict:
-    return truth.disj_any(at(k) for k in window)
-
-
-def always_fold(window: Sequence[int], at: Callable[[int], Verdict]) -> Verdict:
-    return truth.conj_all(at(k) for k in window)
-
-
-def until_fold(
-    window: Sequence[int],
-    left_at: Callable[[int], Verdict],
-    right_at: Callable[[int], Verdict],
-) -> Verdict:
-    acc = truth.FALSE  # an exhausted window refutes
-    for k in reversed(window):
-        acc = truth.disj(right_at(k), truth.conj(left_at(k), acc))
-    return acc
-
-
-def release_fold(
-    window: Sequence[int],
-    left_at: Callable[[int], Verdict],
-    right_at: Callable[[int], Verdict],
-) -> Verdict:
-    acc = truth.TRUE  # surviving the whole window without a release succeeds
-    for k in reversed(window):
-        acc = truth.disj(
-            truth.conj(left_at(k), right_at(k)),
-            truth.conj(right_at(k), acc),
-        )
-    return acc
-
-
-# The folds by operator class name, for the tests' reference judges.
-WINDOW_FOLDS = {
-    "Eventually": eventually_fold,
-    "Always": always_fold,
-    "Until": until_fold,
-    "Release": release_fold,
-}
-
-
 # The window operands of one ``judge`` call, by operand identity.  Each entry
 # holds its operand, which pins the id for the whole call, its verdicts by
 # position and its skip maps by neutral verdict: ``skip[i] = j`` records that
@@ -126,10 +75,10 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
     call, so predicates and consumers must be pure.  The table of those
     verdicts, and the skip maps of the ``Eventually`` / ``Always`` windows,
     live only as long as the call.  Windows are scanned in ascending order
-    and stop at the first absorbing verdict, as :data:`WINDOW_FOLDS` does,
-    and a window's positions past the end of the word are judged once, as
-    the first of them: the same predicate call raises first as in a plain
-    fold over the whole window.
+    and stop at the first absorbing verdict, as a left-to-right fold of the
+    window's verdicts through the connectives does, and a window's positions
+    past the end of the word are judged once, as the first of them: the same
+    predicate call raises first as in a plain fold over the whole window.
 
     The judgment keeps its pending nodes on a stack of its own, not on
     Python's, and calls predicates and consumers in a fixed order: a

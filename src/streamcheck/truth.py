@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import enum
-from typing import Iterable
 
 
 class Verdict(enum.Enum):
@@ -64,24 +63,3 @@ def disj(a: Verdict, b: Verdict) -> Verdict:
 
 def implies(a: Verdict, b: Verdict) -> Verdict:
     return disj(neg(a), b)
-
-
-def conj_all(values: Iterable[Verdict]) -> Verdict:
-    """Meet of ``values``; stops consuming them at the first FALSE."""
-    result = TRUE
-    for v in values:
-        if v is FALSE:
-            return FALSE
-        result = conj(result, v)
-    return result
-
-
-def disj_any(values: Iterable[Verdict]) -> Verdict:
-    """Join of ``values``; stops consuming them at the first TRUE."""
-    result = FALSE
-    for v in values:
-        if v is TRUE:
-            return TRUE
-        result = disj(result, v)
-    return result
-

@@ -150,6 +150,26 @@ def test_example_reports_pinned(name):
     assert digest.hexdigest()[:16] == EXAMPLE_REPORTS[name]
 
 
+# SHA-256 of the JSON reports of every example at seeds 0-19, oracle off and
+# then on, one report per line.  A change to the monitor, the reference
+# judgment or the harness that is meant to keep behaviour must keep every
+# byte of every report, so it must keep this digest.
+GOLDEN_REPORTS = "657e527d5aceda61407b754f40ac3464b74ddbd50a6f96269223926f4f7aab12"
+
+
+def test_golden_report_digest():
+    digest = hashlib.sha256()
+    for oracle in (False, True):
+        for name in sorted(EXAMPLES):
+            spec = EXAMPLES[name]
+            for seed in range(20):
+                cfg = HarnessConfig(
+                    min_tests_ok=spec.min_tests_ok, seed=seed, oracle_crosscheck=oracle
+                )
+                digest.update(harness.report_to_json(run_example(spec, cfg)).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_REPORTS
+
+
 def test_counted_hashtags_window_decay():
     """The saturated count decays stepwise as the window slides past."""
     spec = EXAMPLES["hashtags-counted"]

@@ -31,10 +31,14 @@ from corpus import letter_is, monitor_verdict, random_runtime_formula, random_wo
 
 
 def test_timeouts_must_be_positive():
-    with pytest.raises(rt.FormulaError):
-        Eventually(0, rt.TOP)
-    with pytest.raises(rt.FormulaError):
-        rt.Always(-1, rt.TOP)
+    a, b = letter_is("a"), letter_is("b")
+    for timeout in (0, -1):
+        for build in (Eventually, rt.Always):
+            with pytest.raises(rt.FormulaError, match="timeout must be a positive integer"):
+                build(timeout, a)
+        for build in (Until, Release):
+            with pytest.raises(rt.FormulaError, match="timeout must be a positive integer"):
+                build(timeout, a, b)
 
 
 def test_degenerate_timeout_constructors():
@@ -55,6 +59,98 @@ def test_a_boolean_is_no_timeout(flag):
     for build in (Until, Release, rt.make_until, rt.make_release):
         with pytest.raises(rt.FormulaError, match="timeout must be"):
             build(flag, a, b)
+
+
+# ---------------------------------------------------------------------------
+# Node construction: the hand-written ``__init__`` of every node type keeps
+# the frozen dataclass contract.
+
+
+def _consumer(letter, time):
+    return rt.TOP
+
+
+# Operands that pickle, unlike the closures of atoms.
+_P, _Q = Next(rt.TOP), Not(rt.BOTTOM)
+# Per node type: its dataclass fields in order, and one value for each.
+NODES = {
+    Solved: {"value": truth.INCONCLUSIVE},
+    Not: {"body": _P},
+    And: {"left": _P, "right": _Q},
+    Or: {"left": _P, "right": _Q},
+    Implies: {"left": _P, "right": _Q},
+    Next: {"body": _P},
+    Consume: {"consumer": _consumer, "static_depth": 2, "label": "pick"},
+    Eventually: {"timeout": 3, "body": _P},
+    rt.Always: {"timeout": 3, "body": _P},
+    Until: {"timeout": 3, "left": _P, "right": _Q},
+    Release: {"timeout": 3, "left": _P, "right": _Q},
+}
+TIMED = [Eventually, rt.Always, Until, Release]
+
+
+def _fields_of(node):
+    return {name: getattr(node, name) for name in NODES[type(node)]}
+
+
+@pytest.mark.parametrize("kind", NODES, ids=lambda kind: kind.__name__)
+def test_nodes_build_positionally_and_by_keyword(kind):
+    values = NODES[kind]
+    assert [field.name for field in dataclasses.fields(kind)] == list(values)
+    by_position, by_keyword = kind(*values.values()), kind(**values)
+    assert _fields_of(by_position) == _fields_of(by_keyword) == values
+    assert by_position == by_keyword
+    with pytest.raises(TypeError):
+        kind(*values.values(), None)
+    with pytest.raises(TypeError):
+        kind(**values, other=None)
+
+
+def test_consume_keeps_its_defaults():
+    defaults = {"consumer": _consumer, "static_depth": None, "label": "consume"}
+    assert _fields_of(Consume(_consumer)) == defaults
+    assert Consume(_consumer, 4).static_depth == 4
+    assert _fields_of(Consume(consumer=_consumer, label="x"))["static_depth"] is None
+    with pytest.raises(TypeError):
+        Consume()
+
+
+@pytest.mark.parametrize("kind", NODES, ids=lambda kind: kind.__name__)
+def test_node_fields_are_frozen(kind):
+    node = kind(**NODES[kind])
+    for name in NODES[kind]:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(node, name)
+    assert _fields_of(node) == NODES[kind]
+
+
+@pytest.mark.parametrize("kind", NODES, ids=lambda kind: kind.__name__)
+def test_replace_builds_an_equal_node(kind):
+    node = kind(**NODES[kind])
+    twin = dataclasses.replace(node)
+    assert twin == node and twin is not node and type(twin) is kind
+    name = list(NODES[kind])[-1]
+    value = {"value": truth.TRUE, "label": "other"}.get(name, rt.BOTTOM)
+    changed = dataclasses.replace(node, **{name: value})
+    assert _fields_of(changed) == {**NODES[kind], name: value} and changed != node
+
+
+@pytest.mark.parametrize("kind", TIMED, ids=lambda kind: kind.__name__)
+def test_timed_nodes_start_without_an_unfolding(kind):
+    node = kind(**NODES[kind])
+    assert node._unfolded is None
+    rt.unfold(node)
+    assert node._unfolded is not None
+    copies = (
+        copy.copy(node),
+        copy.deepcopy(node),
+        pickle.loads(pickle.dumps(node)),
+        dataclasses.replace(node),
+    )
+    for clone in copies:
+        assert clone == node and clone._unfolded is None
 
 
 class TestExplicitNextForm:

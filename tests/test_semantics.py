@@ -15,6 +15,7 @@ from corpus import (
     random_runtime_formula,
     random_word,
 )
+from window_folds import WINDOW_FOLDS
 
 
 def term_monitor_verdict(formula, word):
@@ -169,7 +170,7 @@ def reference_judge(word, position, phi):
             return reference_judge(word, position + 1, phi.consumer(value, time))
         return truth.INCONCLUSIVE
     if isinstance(phi, (rt.Eventually, rt.Always, rt.Until, rt.Release)):
-        fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+        fold = WINDOW_FOLDS[type(phi).__name__]
         window = range(position, position + phi.timeout)
         if isinstance(phi, (rt.Until, rt.Release)):
             return fold(
@@ -384,7 +385,7 @@ class _Recursive:
             past = len(word) + 1
             window = range(min(position, past), min(position + phi.timeout, past + 1))
             if isinstance(phi, (rt.Until, rt.Release)):
-                fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+                fold = WINDOW_FOLDS[type(phi).__name__]
                 return fold(
                     window,
                     _Recursive._operand_at(word, phi.left, memo),

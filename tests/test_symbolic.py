@@ -17,6 +17,7 @@ from corpus import (
     random_symbolic_formula,
     random_term_word,
 )
+from window_folds import WINDOW_FOLDS
 
 
 def consume(var, time_var, body):
@@ -237,7 +238,7 @@ def unclamped_judge(word, position, phi):
     if operands:
         window = range(position, position + sym.eval_term(phi.timeout, INTERP))
         at = [lambda k, sub=sub: unclamped_judge(word, k, sub) for sub in operands]
-        return semantics.WINDOW_FOLDS[kind.__name__](window, *at)
+        return WINDOW_FOLDS[kind.__name__](window, *at)
     return sym.judge(word, position, phi, INTERP)  # a timeless atom
 
 
@@ -296,7 +297,7 @@ def recursive_judge(word, position, phi, interp, relaxed=False):
         letter, time = word[position - 1]
         bound = sym.substitute(phi.body, {phi.time_var: sym.Lit(time), phi.var: letter})
         return recursive_judge(word, position + 1, bound, interp, relaxed)
-    fold = semantics.WINDOW_FOLDS[type(phi).__name__]
+    fold = WINDOW_FOLDS[type(phi).__name__]
     timeout = sym._eval_timeout(phi.timeout, interp)
     past = len(word) + 1
     window = range(min(position, past), min(position + timeout, past + 1)) if timeout else ()

@@ -10,12 +10,12 @@ from streamcheck.truth import (
     TRUE,
     Verdict,
     conj,
-    conj_all,
     disj,
-    disj_any,
     implies,
     neg,
 )
+
+from window_folds import conj_all, disj_any
 
 ALL = (FALSE, INCONCLUSIVE, TRUE)
 BOOLEANS = (FALSE, TRUE)
