@@ -132,7 +132,7 @@ def batches_of(gen: GenFn, rng: random.Random) -> Iterator[Any]:
 
 def always(batch_gen: GenFn, timeout: int) -> PrefixGen:
     """``timeout`` instants, each drawn independently from ``batch_gen``."""
-    _check_timeout(timeout)
+    _check_positive(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -155,7 +155,7 @@ def next_batch(batch_gen: GenFn) -> PrefixGen:
 
 def eventually(batch_gen: GenFn, timeout: int) -> PrefixGen:
     """The batch lands at a uniform instant in [1, timeout]; empty before it."""
-    _check_timeout(timeout)
+    _check_positive(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -169,7 +169,7 @@ def eventually(batch_gen: GenFn, timeout: int) -> PrefixGen:
 
 def until(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
     """Instants 1..k-1 from ``first``, instant k from ``second``, k uniform in [1, timeout]."""
-    _check_timeout(timeout)
+    _check_positive(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -184,7 +184,7 @@ def until(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
 def release(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
     """Either ``timeout`` instants of ``second`` (no release), or ``second``
     everywhere with ``first`` superposed at a uniform release instant k."""
-    _check_timeout(timeout)
+    _check_positive(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -234,8 +234,7 @@ def superpose(first: GenFn, second: GenFn) -> PrefixGen:
 
 def repeat_concat(gen: GenFn, times: int) -> PrefixGen:
     """`times` independent draws, concatenated in time."""
-    if times < 1:
-        raise ValueError("times must be positive")
+    _check_positive(times, "times")
 
     @PrefixGen
     def run(rng: random.Random) -> Iterator[Any]:
@@ -245,6 +244,7 @@ def repeat_concat(gen: GenFn, times: int) -> PrefixGen:
     return run
 
 
-def _check_timeout(timeout: int) -> None:
-    if timeout < 1:
-        raise ValueError("timeout must be positive")
+def _check_positive(value: int, name: str) -> None:
+    # As for the timeouts of formulas: a boolean is no count.
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import chain
 from random import Random
 from typing import Any, Callable, Generic, Iterable, Mapping, Optional, Tuple, TypeVar
 
@@ -50,6 +49,12 @@ class PredicateError(CaseError):
     """A predicate or consumer of the formula raised while judging a letter."""
 
     stage = "predicate"
+
+
+class GeneratorError(CaseError):
+    """The prefix generator raised while drawing the batch of a step."""
+
+    stage = "generator"
 
 
 class OracleMismatch(HarnessError):
@@ -217,9 +222,11 @@ def run_test_case(
     or a generator's ``batches_of`` iterator.  A batch is pulled only while
     the formula is unsolved, so nothing is read past the deciding step; an
     exhausted prefix is closed out with the empty letter, which may leave the
-    verdict inconclusive.  With ``oracle_crosscheck`` the reference judges the
-    word the monitor consumed: a decided verdict on a finite word never
-    changes when the word is extended, so the unread rest cannot matter.
+    verdict inconclusive.  A raise in pulling a batch is a
+    :class:`GeneratorError` at the step of that batch.  With
+    ``oracle_crosscheck`` the reference judges the word the monitor consumed:
+    a decided verdict on a finite word never changes when the word is
+    extended, so the unread rest cannot matter.
     """
     monitor, _word = _run_case(batches, transformation, formula, cfg)
     return monitor.verdict, tuple(monitor.trace)
@@ -237,22 +244,30 @@ def _run_case(
     state = transformation.initial
     word = []
     if monitor.verdict is None:
-        for instant, batch in enumerate(batches, 1):
-            batch = Batch(batch)
-            time_ms = time_of(instant, cfg)
-            try:
-                state, out = transformation.step(state, batch, time_ms)
-            except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
-                raise TransformationError(instant, exc) from exc
-            letter = IoLetter(batch, Batch(out), time_ms)
-            word.append((letter, time_ms))
-            try:
-                monitor.step(letter, time_ms)
-            except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
-                raise PredicateError(instant, exc) from exc
-            if monitor.verdict is not None:
-                break
-        else:
+        try:
+            for instant, batch in enumerate(batches, 1):
+                batch = Batch(batch)
+                time_ms = time_of(instant, cfg)
+                try:
+                    state, out = transformation.step(state, batch, time_ms)
+                    out = Batch(out)
+                except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
+                    raise TransformationError(instant, exc) from exc
+                letter = IoLetter(batch, out, time_ms)
+                word.append((letter, time_ms))
+                try:
+                    monitor.step(letter, time_ms)
+                except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
+                    raise PredicateError(instant, exc) from exc
+                if monitor.verdict is not None:
+                    break
+        except CaseError:
+            raise
+        except Exception as exc:  # noqa: BLE001 - generators are arbitrary
+            # Only drawing a batch is left to raise: the subject's and the
+            # monitor's raises are case errors already.
+            raise GeneratorError(len(word) + 1, exc) from exc
+        if monitor.verdict is None:
             monitor.finish()  # the empty letter calls no predicate
     verdict = monitor.verdict
     assert verdict is not None
@@ -322,14 +337,22 @@ def for_all_stream(
     not failures but count toward the case budget.  An
     :class:`OracleMismatch` is not a case error: it propagates, its message
     prefixed with ``case <index>: ``.
+
+    A raise in the generator is a :class:`GeneratorError` at the step whose
+    batch was being drawn; a generator that is not a ``PrefixGen`` draws its
+    whole prefix before step 1, so its raise names step 1.  A refuted case's
+    counterexample holds its whole prefix, so the unread rest is drawn too:
+    a raise there turns the refutation into that generator error.
     """
     passed = inconclusive = failed = errors = 0
     counterexample = None
     error_message = None
     for index in range(1, cfg.min_tests_ok + 1):
-        batches = batches_of(gen, case_rng(cfg.seed, index))
         try:
+            batches = _draw(gen, case_rng(cfg.seed, index))
             monitor, word = _run_case(batches, transformation, formula, cfg)
+            if monitor.verdict is truth.FALSE:
+                prefix = _whole_prefix(word, batches)
         except CaseError as exc:
             errors = 1
             error_message = f"case {index}: {exc}"
@@ -344,8 +367,6 @@ def for_all_stream(
         else:
             failed = 1
             trace = tuple(monitor.trace)
-            # The counterexample keeps the whole prefix: the batches read, then the rest.
-            prefix = StreamPrefix(chain((letter.input for letter, _t in word), batches))
             failing_step = trace[-1].step if trace else 0
             counterexample = Counterexample(index, prefix, trace, failing_step)
             break
@@ -360,6 +381,26 @@ def for_all_stream(
         counterexample=counterexample,
         error_message=error_message,
     )
+
+
+def _draw(gen: GenFn, rng: Random) -> Iterable[Batch]:
+    """``batches_of(gen, rng)``, its raise a :class:`GeneratorError` at step 1."""
+    try:
+        return batches_of(gen, rng)
+    except Exception as exc:  # noqa: BLE001 - generators are arbitrary
+        raise GeneratorError(1, exc) from exc
+
+
+def _whole_prefix(word: list, batches: Iterable[Batch]) -> StreamPrefix:
+    """The batches the monitor read, then the rest of ``batches``; a raise in
+    drawing the rest is a :class:`GeneratorError` at the step drawn."""
+    prefix = [letter.input for letter, _t in word]
+    try:
+        for batch in batches:
+            prefix.append(Batch(batch))
+    except Exception as exc:  # noqa: BLE001 - generators are arbitrary
+        raise GeneratorError(len(prefix) + 1, exc) from exc
+    return StreamPrefix(prefix)
 
 
 # ---------------------------------------------------------------------------

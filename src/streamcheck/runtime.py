@@ -43,6 +43,12 @@ class Formula:
     dataclass methods would be; they walk on an explicit stack, since eager
     next forms nest deeper than the recursion limit.  A node type outside
     :data:`CHILDREN` compares by identity and prints as an object.
+
+    The connectives ``Not``, ``And``, ``Or``, ``Implies`` and ``Next`` are
+    also the connectives of :mod:`symbolic`, so they may carry symbolic
+    operands.  Such an operand is a leaf to every walker here: it compares,
+    hashes and prints by its own methods, and the monitor and the reference
+    judgment reject it as a foreign node.
     """
 
     __slots__ = ()

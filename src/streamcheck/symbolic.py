@@ -5,6 +5,10 @@ Formulas here are purely syntactic.  They are evaluated either directly
 explicit-stack loop of :func:`semantics.judge`) or by compiling to the
 runtime algebra (:func:`compile_formula`) and running the stepwise monitor.
 Letters of the words judged here are closed terms paired with a timestamp.
+
+The connectives ``Not``, ``And``, ``Or``, ``Implies`` and ``Next`` are the
+runtime node types, here over symbolic operands.  Only the leaves, the timed
+operators (their timeouts are terms) and ``Consume`` are classes of this module.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from operator import is_not
 from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import runtime, semantics
+from .runtime import And, Implies, Next, Not, Or
 from .truth import Verdict
 
 
@@ -111,34 +116,6 @@ class Eq(SymFormula):
 
 
 @dataclass(frozen=True)
-class Not(SymFormula):
-    body: SymFormula
-
-
-@dataclass(frozen=True)
-class And(SymFormula):
-    left: SymFormula
-    right: SymFormula
-
-
-@dataclass(frozen=True)
-class Or(SymFormula):
-    left: SymFormula
-    right: SymFormula
-
-
-@dataclass(frozen=True)
-class Implies(SymFormula):
-    left: SymFormula
-    right: SymFormula
-
-
-@dataclass(frozen=True)
-class Next(SymFormula):
-    body: SymFormula
-
-
-@dataclass(frozen=True)
 class Eventually(SymFormula):
     timeout: Term
     body: SymFormula
@@ -224,10 +201,7 @@ def term_free_vars(term: Term) -> Set[str]:
     if isinstance(term, Var):
         return {term.name}
     if isinstance(term, App):
-        out: Set[str] = set()
-        for arg in term.args:
-            out |= term_free_vars(arg)
-        return out
+        return set().union(*map(term_free_vars, term.args))
     return set()
 
 
@@ -340,9 +314,7 @@ def eval_term(term: Term, interp: Interpretation) -> Any:
     """Evaluate a closed term by structural folding."""
     if isinstance(term, Var):
         raise OpenFormula(f"cannot evaluate open term: free variable {term.name!r}")
-    if isinstance(term, Lit):
-        return term.value
-    if isinstance(term, Const):
+    if isinstance(term, (Lit, Const)):
         return term.value
     if isinstance(term, App):
         fn = interp.functions.get(term.symbol)
@@ -406,18 +378,14 @@ def _unknown(phi: Any, interp: Interpretation, relaxed: bool) -> runtime.Formula
     raise SymbolicError(f"unknown formula {phi!r}")
 
 
-# One symbolic node as a runtime node over its symbolic operands.  A zero
-# window is decided without its operands.
+# One symbolic leaf, window or consume as a runtime node over its symbolic
+# operands; connectives are runtime nodes already.  A zero window is decided
+# without its operands.
 _LOWER: Mapping[type, Callable[[Any, Interpretation, bool], runtime.Formula]] = {
     TrueFormula: lambda phi, interp, relaxed: runtime.TOP,
     FalseFormula: lambda phi, interp, relaxed: runtime.BOTTOM,
     Pred: _lower_atom,
     Eq: _lower_atom,
-    Not: lambda phi, interp, relaxed: runtime.Not(phi.body),
-    And: lambda phi, interp, relaxed: runtime.And(phi.left, phi.right),
-    Or: lambda phi, interp, relaxed: runtime.Or(phi.left, phi.right),
-    Implies: lambda phi, interp, relaxed: runtime.Implies(phi.left, phi.right),
-    Next: lambda phi, interp, relaxed: runtime.Next(phi.body),
     **dict.fromkeys(_TIMED, _lower_window),
     Consume: _lower_consume,
 }
@@ -432,8 +400,9 @@ def judge(
 ) -> Verdict:
     """Judge a closed symbolic formula directly, by substitution.
 
-    It runs on :func:`semantics.judge`: each node is lowered when the
-    judgment reaches it, so predicates are called in that judge's order.  With
+    It runs on :func:`semantics.judge`, which judges the shared connectives
+    natively: each leaf, window and consume is lowered when the judgment
+    reaches it, so predicates are called in that judge's order.  With
     ``relaxed`` set, equality atoms against batch-valued letters are read
     as containment; used to validate generated words.
     """
@@ -515,12 +484,9 @@ def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
 # Compilation to the runtime algebra
 
 
+# A connective compiles through the runtime's constant-folding constructor.
 _COMPILE = {
-    Not: runtime.mk_not,
-    And: runtime.mk_and,
-    Or: runtime.mk_or,
-    Implies: runtime.mk_implies,
-    Next: runtime.mk_next,
+    **runtime._REBUILD,
     Eventually: runtime.make_eventually,
     Always: runtime.make_always,
     Until: runtime.make_until,

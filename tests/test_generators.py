@@ -60,6 +60,25 @@ class TestBatchGenerators:
 TWO_ELEMS = gen.batch_of_n(2, gen.constant("e"))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda n: gen.always(TWO_ELEMS, n),
+        lambda n: gen.eventually(TWO_ELEMS, n),
+        lambda n: gen.until(TWO_ELEMS, TWO_ELEMS, n),
+        lambda n: gen.release(TWO_ELEMS, TWO_ELEMS, n),
+        lambda n: gen.repeat_concat(gen.always(TWO_ELEMS, 2), n),
+    ],
+    ids=["always", "eventually", "until", "release", "repeat_concat"],
+)
+def test_counts_must_be_positive_integers(build):
+    """A count is rejected when the generator is built, not when it draws."""
+    for bad in (0, -1, 2.5, True, False, "3", None):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            build(bad)
+    assert len(run(build(1))) >= 1
+
+
 class TestPrefixGenerators:
 
     def test_always_length(self):

@@ -10,6 +10,7 @@ from streamcheck import generators as gen
 from streamcheck import harness, runtime as rt, semantics, truth
 from streamcheck.generators import Batch, StreamPrefix
 from streamcheck.harness import (
+    GeneratorError,
     HarnessConfig,
     IoLetter,
     OracleMismatch,
@@ -174,13 +175,16 @@ class TestRunTestCase:
         def boom(_e):
             raise RuntimeError("bad subject")
 
-        with pytest.raises(TransformationError, match="step 1"):
-            run_test_case(
-                prefix_of([1]),
-                harness.map_elements(boom),
-                rt.Always(2, rt.now(lambda l: True)),
-                CFG,
-            )
+        # An output that is no batch is the subject's error too.
+        not_a_batch = harness.Transformation(None, lambda state, _batch, _t: (state, 7))
+        for subject in (harness.map_elements(boom), not_a_batch):
+            with pytest.raises(TransformationError, match="step 1"):
+                run_test_case(
+                    prefix_of([1]),
+                    subject,
+                    rt.Always(2, rt.now(lambda l: True)),
+                    CFG,
+                )
 
     def test_predicate_errors_are_wrapped(self):
         calls = []
@@ -563,6 +567,53 @@ class TestPulledBatches:
         )
         assert report.error_message.startswith("case 1: predicate failed at step 2")
         assert len(pulled) == 2
+
+
+def fails_at_draw(n):
+    """An element generator whose ``n``-th draw, and every later one, raises."""
+    draws = []
+
+    def element(rng):
+        draws.append(rng.randint(0, 9))
+        if len(draws) >= n:
+            raise ValueError(f"draw {len(draws)}")
+        return draws[-1]
+
+    return element
+
+
+class TestGeneratorErrors:
+    """A raise in the prefix generator lands in the errors bucket."""
+
+    @pytest.mark.parametrize(
+        "prefixes,formula,step",
+        [
+            # Two elements a batch: the 1st draw is step 1's, the 5th step 3's.
+            (gen.always(gen.batch_of_n(2, fails_at_draw(1)), 3), rt.Always(3, output_nonempty()), 1),
+            (gen.always(gen.batch_of_n(2, fails_at_draw(5)), 5), rt.Always(5, output_nonempty()), 3),
+            # A plain callable draws its whole prefix before step 1.
+            (lambda rng: [[rng.random()], [1 / 0]], rt.Always(2, output_nonempty()), 1),
+            # The unread rest of a refuted case is drawn for its counterexample.
+            (gen.always(gen.batch_of_n(1, fails_at_draw(3)), 5), rt.BOTTOM, 3),
+            (gen.always(gen.batch_of_n(1, fails_at_draw(4)), 5), rt.Always(5, rt.now(lambda _: False)), 4),
+        ],
+        ids=["first-batch", "third-batch", "full-draw", "refuted-at-init", "refuted-rest"],
+    )
+    def test_a_raising_generator_uses_the_errors_bucket(self, prefixes, formula, step):
+        report = for_all_stream(prefixes, harness.map_elements(str), formula, CFG)
+        assert (report.cases, report.errors, report.failed, report.counterexample) == (1, 1, 0, None)
+        assert report.error_message.startswith(f"case 1: generator failed at step {step}: ")
+        assert "Error(" in report.error_message
+
+    def test_run_test_case_names_the_step_of_the_raising_batch(self):
+        def batches():
+            yield Batch([1])
+            raise KeyError("second")
+
+        with pytest.raises(GeneratorError) as raised:
+            run_test_case(batches(), harness.map_elements(str), rt.Always(3, output_nonempty()), CFG)
+        assert raised.value.step == 2 and isinstance(raised.value.cause, KeyError)
+        assert isinstance(raised.value, harness.CaseError)
 
 
 class TestLazySizing:

@@ -6,6 +6,7 @@ import dataclasses
 import gc
 import pickle
 import random
+import re
 import weakref
 
 import pytest
@@ -13,6 +14,7 @@ import pytest
 from streamcheck import harness
 from streamcheck import runtime as rt
 from streamcheck import semantics, truth
+from streamcheck import symbolic as sym
 from streamcheck.examples import EXAMPLES
 from streamcheck.runtime import (
     And,
@@ -27,7 +29,14 @@ from streamcheck.runtime import (
     Until,
 )
 
-from corpus import letter_is, monitor_verdict, random_runtime_formula, random_word
+from corpus import (
+    INTERP,
+    consume_eq,
+    letter_is,
+    monitor_verdict,
+    random_runtime_formula,
+    random_word,
+)
 
 
 def test_timeouts_must_be_positive():
@@ -419,6 +428,20 @@ def test_a_subclass_of_a_node_type_is_foreign():
             rt.Monitor(And(phi, letter_is("a"))).step("a", 0)
 
 
+def test_an_unlowered_symbolic_leaf_is_foreign():
+    """The connectives are shared with the symbolic algebra, so an unlowered
+    symbolic formula is rejected at its first symbolic leaf."""
+    leaf, window = consume_eq("x", "o", "a"), sym.always(2, sym.TrueFormula())
+    for phi, first in [
+        (sym.And(leaf, sym.Next(window)), repr(leaf)),
+        (sym.Implies(sym.Not(window), leaf), repr(window)),
+    ]:
+        with pytest.raises(rt.FormulaError, match=re.escape(f"cannot unfold {first}")):
+            rt.Monitor(And(letter_is("a"), phi))
+        with pytest.raises(rt.FormulaError, match=re.escape(f"cannot judge {first}")):
+            semantics.models([("a", 0), ("b", 1)], Or(letter_is("b"), phi))
+
+
 def test_semantic_equivalence_of_next_form_on_corpus():
     rng = random.Random(31)
     for _ in range(300):
@@ -563,20 +586,44 @@ def dataclass_eq(a, b):
     return all(dataclass_eq(getattr(a, name), getattr(b, name)) for name in names)
 
 
+P_A = letter_is("a")
+
+
+def runtime_pair(make):
+    """The eager and the lazy next form of ``make(timeout, P_A)``."""
+
+    def pair(timeout):
+        phi = make(timeout, P_A)
+        return rt.to_next_form(phi), rt.unfold_fixpoint(phi)
+
+    return pair
+
+
+def symbolic_next_form(t):
+    """A symbolic eager next form: runtime connectives over a symbolic consume."""
+    return sym.next_form(sym.always(t, consume_eq("x", "o", "a")), INTERP)
+
+
 @pytest.mark.parametrize(
-    "make",
-    [Eventually, rt.Always, lambda t, p: Until(t, p, p), lambda t, p: Release(t, p, p)],
-    ids=["Eventually", "Always", "Until", "Release"],
+    "pair",
+    [
+        runtime_pair(Eventually),
+        runtime_pair(rt.Always),
+        runtime_pair(lambda t, p: Until(t, p, p)),
+        runtime_pair(lambda t, p: Release(t, p, p)),
+        lambda t: (symbolic_next_form(t), symbolic_next_form(t)),
+    ],
+    ids=["Eventually", "Always", "Until", "Release", "symbolic"],
 )
-def test_deep_next_forms_compare_and_hash(make):
-    p = letter_is("a")
-    phi = make(10_000, p)
-    eager, lazy = rt.to_next_form(phi), rt.unfold_fixpoint(phi)
+def test_deep_next_forms_compare_and_hash(pair):
+    eager, lazy = pair(10_000)
     assert eager is not lazy
     assert (eager == lazy) is True
     assert (eager != lazy) is False
     assert hash(eager) == hash(lazy)
-    assert eager != rt.to_next_form(make(9_999, p))
+    assert repr(eager) == repr(lazy)
+    assert repr(eager).count("Next(body=") == 10_000 - 1
+    assert eager != pair(9_999)[0]
 
 
 def test_equality_agrees_with_dataclass_equality_on_corpus():

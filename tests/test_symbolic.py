@@ -24,6 +24,11 @@ def consume(var, time_var, body):
     return sym.Consume(var, time_var, body)
 
 
+@pytest.mark.parametrize("name", ["Not", "And", "Or", "Implies", "Next"])
+def test_connectives_are_the_runtime_nodes(name):
+    assert getattr(sym, name) is getattr(rt, name)
+
+
 class TestFreeVars:
     def test_both_binders_discharge(self):
         phi = consume("x", "o", sym.eq(sym.Var("x"), "a"))
