@@ -83,14 +83,15 @@ def mapped(gen: GenFn, fn: Callable[[Any], Any]) -> GenFn:
 
 def batch_of_n(n: int, gen: GenFn) -> GenFn:
     """Batch with exactly ``n`` independently generated elements."""
-    if n < 0:
-        raise ValueError("batch size must be non-negative")
+    check_count(n, "batch size", least=0)
     return lambda rng: Batch(gen(rng) for _ in range(n))
 
 
 def batch_of_n_to_m(n: int, m: int, gen: GenFn) -> GenFn:
     """Batch whose size is uniform in [n, m]."""
-    if n < 0 or m < n:
+    check_count(n, "n", least=0)
+    check_count(m, "m", least=0)
+    if m < n:
         raise ValueError("need 0 <= n <= m")
     return lambda rng: Batch(gen(rng) for _ in range(rng.randint(n, m)))
 
@@ -132,7 +133,7 @@ def batches_of(gen: GenFn, rng: random.Random) -> Iterator[Any]:
 
 def always(batch_gen: GenFn, timeout: int) -> PrefixGen:
     """``timeout`` instants, each drawn independently from ``batch_gen``."""
-    _check_positive(timeout, "timeout")
+    check_count(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -155,7 +156,7 @@ def next_batch(batch_gen: GenFn) -> PrefixGen:
 
 def eventually(batch_gen: GenFn, timeout: int) -> PrefixGen:
     """The batch lands at a uniform instant in [1, timeout]; empty before it."""
-    _check_positive(timeout, "timeout")
+    check_count(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -169,7 +170,7 @@ def eventually(batch_gen: GenFn, timeout: int) -> PrefixGen:
 
 def until(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
     """Instants 1..k-1 from ``first``, instant k from ``second``, k uniform in [1, timeout]."""
-    _check_positive(timeout, "timeout")
+    check_count(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -184,7 +185,7 @@ def until(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
 def release(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
     """Either ``timeout`` instants of ``second`` (no release), or ``second``
     everywhere with ``first`` superposed at a uniform release instant k."""
-    _check_positive(timeout, "timeout")
+    check_count(timeout, "timeout")
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
@@ -234,7 +235,7 @@ def superpose(first: GenFn, second: GenFn) -> PrefixGen:
 
 def repeat_concat(gen: GenFn, times: int) -> PrefixGen:
     """`times` independent draws, concatenated in time."""
-    _check_positive(times, "times")
+    check_count(times, "times")
 
     @PrefixGen
     def run(rng: random.Random) -> Iterator[Any]:
@@ -244,7 +245,9 @@ def repeat_concat(gen: GenFn, times: int) -> PrefixGen:
     return run
 
 
-def _check_positive(value: int, name: str) -> None:
+def check_count(value: int, name: str, least: int = 1) -> None:
+    """Reject a count that is no integer, a boolean or below ``least`` (0 or 1)."""
     # As for the timeouts of formulas: a boolean is no count.
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")

@@ -15,7 +15,7 @@ from random import Random
 from typing import Any, Callable, Generic, Iterable, Mapping, Optional, Tuple, TypeVar
 
 from . import semantics, truth
-from .generators import Batch, GenFn, StreamPrefix, batches_of
+from .generators import Batch, GenFn, StreamPrefix, batches_of, check_count
 from .runtime import Formula, Monitor, StepTrace
 from .truth import Verdict
 
@@ -74,7 +74,9 @@ class IoLetter(Generic[I, O]):
 class HarnessConfig:
     """Clock, case budget, seed and oracle switch of a property run.
 
-    ``parallelism`` is validated as positive and otherwise ignored: cases
+    The clock fields and the counts are integers, not booleans:
+    ``start_time_ms`` may be 0, the other three must be positive.
+    ``parallelism`` is validated and otherwise ignored: cases
     always run one at a time on the calling thread, so it changes neither
     how or where they run nor any report.
     """
@@ -87,14 +89,10 @@ class HarnessConfig:
     oracle_crosscheck: bool = False
 
     def __post_init__(self) -> None:
-        if self.batch_interval_ms < 1:
-            raise ValueError("batch_interval_ms must be positive")
-        if self.start_time_ms < 0:
-            raise ValueError("start_time_ms must be non-negative")
-        if self.min_tests_ok < 1:
-            raise ValueError("min_tests_ok must be positive")
-        if self.parallelism < 1:
-            raise ValueError("parallelism must be positive")
+        check_count(self.batch_interval_ms, "batch_interval_ms")
+        check_count(self.start_time_ms, "start_time_ms", least=0)
+        check_count(self.min_tests_ok, "min_tests_ok")
+        check_count(self.parallelism, "parallelism")
 
 
 def time_of(instant: int, cfg: HarnessConfig) -> int:

@@ -45,10 +45,11 @@ class Formula:
     :data:`CHILDREN` compares by identity and prints as an object.
 
     The connectives ``Not``, ``And``, ``Or``, ``Implies`` and ``Next`` are
-    also the connectives of :mod:`symbolic`, so they may carry symbolic
-    operands.  Such an operand is a leaf to every walker here: it compares,
-    hashes and prints by its own methods, and the monitor and the reference
-    judgment reject it as a foreign node.
+    also the connectives of :mod:`symbolic`, and the verdict leaves
+    :data:`TOP` and :data:`BOTTOM` its constants ``true`` and ``false``, so
+    connectives may carry symbolic operands.  Such an operand is a leaf to
+    every walker here: it compares, hashes and prints by its own methods, and
+    the monitor and the reference judgment reject it as a foreign node.
     """
 
     __slots__ = ()
@@ -588,15 +589,16 @@ def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: S
 
     ``kind`` is the operator's class name, the same in both algebras, and
     ``operands`` are the next forms of its subformulas, ``(body,)`` or
-    ``(left, right)``.  ``algebra`` gives the algebra's or, and, next, true
-    and false.  Starting from the timeout-1 base case, the right operand, each
-    instant applies the same :func:`_expand` law as :func:`unfold`, so the
-    chain is right-nested, the fixpoint of the lazy unfolding.  A zero window
-    is decided without its operands.
+    ``(left, right)``.  ``algebra`` gives the algebra's or, and and next.
+    Starting from the timeout-1 base case, the right operand, each instant
+    applies the same :func:`_expand` law as :func:`unfold`, so the chain is
+    right-nested, the fixpoint of the lazy unfolding.  A zero window is
+    decided without its operands, as :data:`BOTTOM` or :data:`TOP`: both
+    algebras share these verdict leaves.
     """
-    or_, and_, next_, true, false = algebra
+    or_, and_, next_ = algebra
     if timeout == 0:
-        return false if kind in ("Eventually", "Until") else true
+        return BOTTOM if kind in ("Eventually", "Until") else TOP
     left, right = operands[0], operands[-1]
     acc = right
     for _ in range(timeout - 1):
@@ -604,7 +606,7 @@ def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: S
     return acc
 
 
-_ALGEBRA = (mk_or, mk_and, mk_next, TOP, BOTTOM)
+_ALGEBRA = (mk_or, mk_and, mk_next)
 _REBUILD = {Not: mk_not, And: mk_and, Or: mk_or, Implies: mk_implies, Next: mk_next}
 
 

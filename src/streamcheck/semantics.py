@@ -86,10 +86,11 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
     ``Until`` window its right operand before its left (of a ``Release``
     window, its left before its right).  A node of any other type than the
     runtime formula types is judged as the node ``lower`` returns for it:
-    :func:`symbolic.judge` lowers its leaves, windows and consumes there,
-    while the connectives it shares with the runtime are judged here
-    directly.  By default such a node is foreign, as in the monitor, even a
-    subclass of a formula type: it raises :class:`runtime.FormulaError`.
+    :func:`symbolic.judge` lowers its atoms, windows and consumes there,
+    while the connectives and verdict leaves it shares with the runtime are
+    judged here directly.  By default such a node is foreign, as in the
+    monitor, even a subclass of a formula type: it raises
+    :class:`runtime.FormulaError`.
     """
     if position < 1:
         raise ValueError("positions are 1-based")

@@ -50,7 +50,10 @@ _FORMS = {
 }
 _HEADS = {kind: head for head, (kind, _, _) in _FORMS.items()}
 _HEADS[symbolic.Consume] = "consume"
-_RESERVED = {*_FORMS, "true", "false", "consume", "word", "scenario", "formula", "expect"}
+# The two constants are the runtime's verdict leaves; ``?`` has no syntax.
+_CONSTANTS = {"true": runtime.TOP, "false": runtime.BOTTOM}
+_CONSTANT_NAMES = {leaf.value: name for name, leaf in _CONSTANTS.items()}
+_RESERVED = {*_FORMS, *_CONSTANTS, "consume", "word", "scenario", "formula", "expect"}
 
 Node = Union[str, int, List["Node"]]
 
@@ -112,10 +115,8 @@ def term_from_node(node: Node) -> Term:
 
 
 def formula_from_node(node: Node) -> SymFormula:
-    if node == "true":
-        return symbolic.TrueFormula()
-    if node == "false":
-        return symbolic.FalseFormula()
+    if isinstance(node, str) and node in _CONSTANTS:
+        return _CONSTANTS[node]
     if not isinstance(node, list) or not node or not isinstance(node[0], str):
         raise SexprError(f"cannot read formula from {node!r}")
     head, *rest = node
@@ -211,10 +212,8 @@ def format_term(term: Term) -> str:
 
 def _format_node(phi: SymFormula, kids: List[Any]) -> Any:
     kind = type(phi)
-    if kind is symbolic.TrueFormula:
-        return "true"
-    if kind is symbolic.FalseFormula:
-        return "false"
+    if kind is runtime.Solved and phi.value in _CONSTANT_NAMES:
+        return _CONSTANT_NAMES[phi.value]
     head = phi.name if kind is symbolic.Pred else _HEADS.get(kind)
     if head is None:
         raise SexprError(f"cannot format formula {phi!r}")

@@ -7,8 +7,10 @@ runtime algebra (:func:`compile_formula`) and running the stepwise monitor.
 Letters of the words judged here are closed terms paired with a timestamp.
 
 The connectives ``Not``, ``And``, ``Or``, ``Implies`` and ``Next`` are the
-runtime node types, here over symbolic operands.  Only the leaves, the timed
-operators (their timeouts are terms) and ``Consume`` are classes of this module.
+runtime node types, here over symbolic operands, and the constants ``true``
+and ``false`` are the runtime verdict leaves ``TOP`` and ``BOTTOM``.  Only the
+atoms, the timed operators (their timeouts are terms) and ``Consume`` are
+classes of this module.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from operator import is_not
 from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import runtime, semantics
-from .runtime import And, Implies, Next, Not, Or
+from .runtime import BOTTOM, TOP, And, Implies, Next, Not, Or, Solved
 from .truth import Verdict
 
 
@@ -91,16 +93,6 @@ def as_term(value: TermLike) -> Term:
 
 class SymFormula:
     __slots__ = ()
-
-
-@dataclass(frozen=True)
-class TrueFormula(SymFormula):
-    pass
-
-
-@dataclass(frozen=True)
-class FalseFormula(SymFormula):
-    pass
 
 
 @dataclass(frozen=True)
@@ -178,7 +170,7 @@ _TIMED = (Eventually, Always, Until, Release)
 
 # Subformulas of each node, for :func:`runtime.fold`.
 CHILDREN = {
-    **dict.fromkeys((TrueFormula, FalseFormula, Pred, Eq), runtime.no_children),
+    **dict.fromkeys((Solved, Pred, Eq), runtime.no_children),
     **dict.fromkeys((Not, Next, Consume, Eventually, Always), runtime.body_child),
     **dict.fromkeys((And, Or, Implies, Until, Release), runtime.pair_children),
 }
@@ -234,14 +226,11 @@ def term_constants(term: Term) -> Set[str]:
 
 def constants(phi: SymFormula) -> Set[str]:
     """Nullary function symbols of a formula, timeout terms included."""
-    found: Set[str] = set()
-    stack = [phi]
-    while stack:
-        node = stack.pop()
-        for term in node_terms(node):
-            found |= term_constants(term)
-        stack.extend(CHILDREN.get(type(node), runtime.no_children)(node))
-    return found
+    return runtime.fold(phi, CHILDREN, _node_constants)
+
+
+def _node_constants(phi: SymFormula, kid_constants: Sequence[Set[str]]) -> Set[str]:
+    return set().union(*kid_constants, *map(term_constants, node_terms(phi)))
 
 
 def substitute_term(term: Term, bindings: Mapping[str, Term]) -> Term:
@@ -361,7 +350,7 @@ Word = Sequence[Tuple[Term, int]]
 
 
 def _lower_atom(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runtime.Formula:
-    return runtime.TOP if _holds(phi, interp, relaxed) else runtime.BOTTOM
+    return TOP if _holds(phi, interp, relaxed) else BOTTOM
 
 
 def _lower_window(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runtime.Formula:
@@ -378,12 +367,10 @@ def _unknown(phi: Any, interp: Interpretation, relaxed: bool) -> runtime.Formula
     raise SymbolicError(f"unknown formula {phi!r}")
 
 
-# One symbolic leaf, window or consume as a runtime node over its symbolic
-# operands; connectives are runtime nodes already.  A zero window is decided
-# without its operands.
+# One symbolic atom, window or consume as a runtime node over its symbolic
+# operands; connectives and verdict leaves are runtime nodes already.  A zero
+# window is decided without its operands.
 _LOWER: Mapping[type, Callable[[Any, Interpretation, bool], runtime.Formula]] = {
-    TrueFormula: lambda phi, interp, relaxed: runtime.TOP,
-    FalseFormula: lambda phi, interp, relaxed: runtime.BOTTOM,
     Pred: _lower_atom,
     Eq: _lower_atom,
     **dict.fromkeys(_TIMED, _lower_window),
@@ -401,10 +388,10 @@ def judge(
     """Judge a closed symbolic formula directly, by substitution.
 
     It runs on :func:`semantics.judge`, which judges the shared connectives
-    natively: each leaf, window and consume is lowered when the judgment
-    reaches it, so predicates are called in that judge's order.  With
-    ``relaxed`` set, equality atoms against batch-valued letters are read
-    as containment; used to validate generated words.
+    and verdict leaves natively: each atom, window and consume is lowered
+    when the judgment reaches it, so predicates are called in that judge's
+    order.  With ``relaxed`` set, equality atoms against batch-valued
+    letters are read as containment; used to validate generated words.
     """
     return semantics.judge(
         word, position, phi, lambda node: _LOWER.get(type(node), _unknown)(node, interp, relaxed)
@@ -454,7 +441,7 @@ def _static_depth(body: SymFormula, interp: Interpretation) -> Optional[int]:
 # Symbolic next form (used before word generation)
 
 
-_ALGEBRA = (Or, And, Next, TrueFormula(), FalseFormula())
+_ALGEBRA = (Or, And, Next)
 
 
 def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
@@ -500,17 +487,16 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
     Closed atoms evaluate immediately (timeless formulas keep their value at
     every instant).  A consume node becomes a runtime consumer that
     substitutes the incoming letter and time and compiles the body, so
-    variable timeouts resolve exactly when their binder fires.
+    variable timeouts resolve exactly when their binder fires.  A verdict
+    leaf is a runtime node already and is returned itself.
     """
-    if isinstance(phi, TrueFormula):
-        return runtime.TOP
-    if isinstance(phi, FalseFormula):
-        return runtime.BOTTOM
+    if type(phi) is Solved:
+        return phi
     if isinstance(phi, (Pred, Eq)):
         unbound = node_free_vars(phi, ())
         if unbound:
             raise OpenFormula(f"atom has free variables {sorted(unbound)}")
-        return runtime.Solved(Verdict.from_bool(_holds(phi, interp, relaxed=False)))
+        return Solved(Verdict.from_bool(_holds(phi, interp, relaxed=False)))
     build = _COMPILE.get(type(phi))
     if build is not None:
         # A timed operator evaluates its timeout before its operands compile.

@@ -7,9 +7,9 @@ a branch at random and backtracks if it fails, implication generates from the
 conclusion only, and a consume picks a witness from the interpretation's
 declared constant pool.
 
-The negation operator and the false constant are outside the generatable
-fragment, as is any consume whose time variable occurs in the body (times are
-attached later by the harness clock).
+The negation operator and the false and inconclusive verdict leaves are
+outside the generatable fragment, as is any consume whose time variable occurs
+in the body (times are attached later by the harness clock).
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
-from . import runtime, symbolic
+from . import runtime, symbolic, truth
 from .symbolic import App, Interpretation, SymFormula
 from .truth import Verdict
 
@@ -61,13 +61,19 @@ def _prepend(batch: FrozenSet[object], u: GenResult) -> GenResult:
     return [batch] + u
 
 
+def _kind(phi: SymFormula) -> object:
+    """A node's type, or the verdict of a verdict leaf."""
+    return phi.value if type(phi) is runtime.Solved else type(phi)
+
+
 _GENERATABLE = {
-    symbolic.TrueFormula, symbolic.Pred, symbolic.Eq, symbolic.And, symbolic.Or, symbolic.Implies,
+    truth.TRUE, symbolic.Pred, symbolic.Eq, symbolic.And, symbolic.Or, symbolic.Implies,
     symbolic.Next, symbolic.Consume,
 }
 _NOT_GENERATABLE = {
     symbolic.Not: "negation is not generatable",
-    symbolic.FalseFormula: "the false constant is not generatable",
+    truth.FALSE: "the false constant is not generatable",
+    truth.INCONCLUSIVE: "the inconclusive constant is not generatable",
     symbolic.Consume: "time variable {phi.time_var!r} may not occur in a generated body",
 }
 
@@ -78,7 +84,7 @@ _Scan = Tuple[Set[str], Optional[SymFormula]]
 def _scan(phi: SymFormula, kids: Sequence[_Scan]) -> _Scan:
     """Free variables of ``phi`` and its first node outside the fragment, in pre-order."""
     free = symbolic.node_free_vars(phi, [kid_free for kid_free, _ in kids])
-    kind = type(phi)
+    kind = _kind(phi)
     if kind not in _GENERATABLE or (kind is symbolic.Consume and phi.time_var in kids[0][0]):
         return free, phi
     for _, bad in kids:
@@ -99,14 +105,14 @@ def generate_word(
     if free:
         raise GeneratorFragmentError("formula must be closed")
     if bad is not None:
-        template = _NOT_GENERATABLE.get(type(bad), "formula is not in next form: {phi!r}")
+        template = _NOT_GENERATABLE.get(_kind(bad), "formula is not in next form: {phi!r}")
         raise GeneratorFragmentError(template.format(phi=bad))
     return _generate(phi, interp, rng)
 
 
 def _generate(phi: SymFormula, interp: Interpretation, rng: random.Random) -> GenResult:
-    if isinstance(phi, symbolic.TrueFormula):
-        return []
+    if type(phi) is runtime.Solved:
+        return []  # only a ``true`` leaf passes the fragment check
     if isinstance(phi, (symbolic.Pred, symbolic.Eq)):
         return [] if symbolic._holds(phi, interp, relaxed=False) else GEN_ERR
     if isinstance(phi, symbolic.Or):

@@ -129,9 +129,9 @@ def monitor_verdict(formula: rt.Formula, word) -> truth.Verdict:
 def _atom(rng: random.Random, scope: List[str]) -> sym.SymFormula:
     roll = rng.random()
     if roll < 0.1:
-        return sym.TrueFormula()
+        return rt.TOP
     if roll < 0.15:
-        return sym.FalseFormula()
+        return rt.BOTTOM
 
     def operand() -> sym.Term:
         if scope and rng.random() < 0.7:
@@ -313,7 +313,7 @@ def random_generatable_formula(
             var = rng.choice(sorted(witnesses))
             return sym.Eq(sym.Var(var), sym.App(witnesses[var]))
         if rng.random() < 0.5:
-            return sym.TrueFormula()
+            return rt.TOP
         constant = rng.choice(ALPHABET)
         return sym.Eq(sym.App(constant), sym.App(constant))
 

@@ -56,6 +56,16 @@ class TestBatchGenerators:
         with pytest.raises(ValueError):
             gen.batch_of_n_to_m(3, 2, good_pair)
 
+    def test_sizes_must_be_integers(self):
+        """A size is rejected when the generator is built, not when it draws."""
+        for bad in (True, False, 2.5, 0.0, "3", None):
+            with pytest.raises(ValueError, match="must be a non-negative integer"):
+                gen.batch_of_n(bad, good_pair)
+            with pytest.raises(ValueError, match="must be a non-negative integer"):
+                gen.batch_of_n_to_m(bad, 3, good_pair)
+            with pytest.raises(ValueError, match="must be a non-negative integer"):
+                gen.batch_of_n_to_m(0, bad, good_pair)
+
 
 TWO_ELEMS = gen.batch_of_n(2, gen.constant("e"))
 

@@ -61,6 +61,15 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HarnessConfig(start_time_ms=-1)
 
+    @pytest.mark.parametrize(
+        "field", ["batch_interval_ms", "start_time_ms", "min_tests_ok", "parallelism"]
+    )
+    def test_rejects_booleans_and_non_integers(self, field):
+        for bad in (True, False, 2.5, 1.0, "3", None):
+            with pytest.raises(ValueError, match=f"^{field} must be a .* integer"):
+                HarnessConfig(**{field: bad})
+        assert getattr(HarnessConfig(**{field: 1}), field) == 1
+
 
 class TestTransformations:
     def test_map_filter_flat_map_are_per_batch(self):

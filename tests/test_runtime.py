@@ -431,7 +431,7 @@ def test_a_subclass_of_a_node_type_is_foreign():
 def test_an_unlowered_symbolic_leaf_is_foreign():
     """The connectives are shared with the symbolic algebra, so an unlowered
     symbolic formula is rejected at its first symbolic leaf."""
-    leaf, window = consume_eq("x", "o", "a"), sym.always(2, sym.TrueFormula())
+    leaf, window = consume_eq("x", "o", "a"), sym.always(2, rt.TOP)
     for phi, first in [
         (sym.And(leaf, sym.Next(window)), repr(leaf)),
         (sym.Implies(sym.Not(window), leaf), repr(window)),

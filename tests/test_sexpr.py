@@ -48,7 +48,19 @@ class TestParsing:
     def test_literals_are_natural_numbers(self):
         with pytest.raises(sexpr.SexprError, match="natural"):
             sexpr.parse_formula("(eventually -1 true)")
-        assert sexpr.parse_formula("(eventually 0 true)") == sym.eventually(0, sym.TrueFormula())
+        assert sexpr.parse_formula("(eventually 0 true)") == sym.eventually(0, rt.TOP)
+
+    def test_constants_are_the_runtime_verdict_leaves(self):
+        assert sexpr.parse_formula("true") is rt.TOP
+        assert sexpr.parse_formula("false") is rt.BOTTOM
+        for text in ("true", "false", "(and true (not false))"):
+            assert sexpr.format_formula(sexpr.parse_formula(text)) == text
+
+    def test_the_inconclusive_leaf_has_no_syntax(self):
+        with pytest.raises(sexpr.SexprError, match="cannot format formula"):
+            sexpr.format_formula(rt.UNDECIDED)
+        with pytest.raises(sexpr.SexprError, match="cannot format formula"):
+            sexpr.format_formula(sym.Next(rt.UNDECIDED))
 
     def test_word_letters_are_closed_terms(self):
         with pytest.raises(sexpr.SexprError, match="closed term"):

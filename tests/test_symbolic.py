@@ -29,6 +29,35 @@ def test_connectives_are_the_runtime_nodes(name):
     assert getattr(sym, name) is getattr(rt, name)
 
 
+@pytest.mark.parametrize("name", ["TOP", "BOTTOM", "Solved"])
+def test_constants_are_the_runtime_verdict_leaves(name):
+    assert getattr(sym, name) is getattr(rt, name)
+
+
+@pytest.mark.parametrize("leaf", [rt.TOP, rt.BOTTOM, rt.UNDECIDED], ids=["T", "F", "?"])
+def test_a_verdict_leaf_compiles_to_itself(leaf):
+    assert sym.compile_formula(leaf, INTERP) is leaf
+
+
+def test_judge_lowers_no_verdict_leaf(monkeypatch):
+    """The reference judgment reads a verdict leaf itself; only atoms,
+    windows and consumes reach the lowering."""
+    seen = []
+
+    def recording(lower):
+        def wrapped(phi, interp, relaxed):
+            seen.append(type(phi))
+            return lower(phi, interp, relaxed)
+
+        return wrapped
+
+    monkeypatch.setattr(sym, "_LOWER", {kind: recording(f) for kind, f in sym._LOWER.items()})
+    word = [(sym.App("a"), 0), (sym.App("b"), 1)]
+    assert sym.judge(word, 1, sym.always(3, rt.TOP), INTERP) is truth.TRUE
+    assert sym.judge(word, 1, sym.Or(rt.BOTTOM, sym.eq("a", "a")), INTERP) is truth.TRUE
+    assert seen == [sym.Always, sym.Eq]
+
+
 class TestFreeVars:
     def test_both_binders_discharge(self):
         phi = consume("x", "o", sym.eq(sym.Var("x"), "a"))
@@ -122,7 +151,7 @@ def test_substitute_then_free_vars_property(phi, constant):
 
 class TestCompile:
     def test_tautology_on_any_word(self):
-        compiled = sym.compile_formula(sym.TrueFormula(), INTERP)
+        compiled = sym.compile_formula(rt.TOP, INTERP)
         assert semantics.models([], compiled) is truth.TRUE
         assert semantics.models([(sym.App("a"), 0)], compiled) is truth.TRUE
 
@@ -196,8 +225,8 @@ def test_timeless_formulas_are_position_independent():
         sym.eq("a", "a"),
         sym.eq("a", "b"),
         sym.pred("leq", 1, 2),
-        sym.TrueFormula(),
-        sym.FalseFormula(),
+        rt.TOP,
+        rt.BOTTOM,
     ]
 
     def timeless(depth):
@@ -281,10 +310,8 @@ def test_positions_are_one_based():
 def recursive_judge(word, position, phi, interp, relaxed=False):
     """``symbolic.judge`` as it was written before it ran on the loop of
     ``semantics.judge``: one Python frame per node and window position."""
-    if isinstance(phi, sym.TrueFormula):
-        return truth.TRUE
-    if isinstance(phi, sym.FalseFormula):
-        return truth.FALSE
+    if isinstance(phi, rt.Solved):
+        return phi.value
     if isinstance(phi, (sym.Pred, sym.Eq)):
         return truth.Verdict.from_bool(sym._holds(phi, interp, relaxed))
     if isinstance(phi, sym.Not):

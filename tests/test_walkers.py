@@ -185,7 +185,7 @@ class _Recursive:
     @staticmethod
     def free_vars(phi):
         fv, tfv = _Recursive.free_vars, sym.term_free_vars
-        if isinstance(phi, (sym.TrueFormula, sym.FalseFormula)):
+        if isinstance(phi, rt.Solved):
             return set()
         if isinstance(phi, sym.Pred):
             return set().union(*map(tfv, phi.args))
@@ -204,6 +204,23 @@ class _Recursive:
         raise sym.SymbolicError(f"unknown formula {phi!r}")
 
     @staticmethod
+    def constants(phi):
+        c, tc = _Recursive.constants, sym.term_constants
+        if isinstance(phi, sym.Pred):
+            return set().union(*map(tc, phi.args))
+        if isinstance(phi, sym.Eq):
+            return tc(phi.left) | tc(phi.right)
+        if isinstance(phi, (sym.Not, sym.Next, sym.Consume)):
+            return c(phi.body)
+        if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
+            return c(phi.left) | c(phi.right)
+        if isinstance(phi, (sym.Eventually, sym.Always)):
+            return tc(phi.timeout) | c(phi.body)
+        if isinstance(phi, (sym.Until, sym.Release)):
+            return tc(phi.timeout) | c(phi.left) | c(phi.right)
+        return set()  # a verdict leaf, or a node of no formula type
+
+    @staticmethod
     def substitute(phi, var, replacement):
         """One name at a time; a firing consume used to call it twice."""
 
@@ -215,7 +232,7 @@ class _Recursive:
             return t
 
         def walk(phi):
-            if isinstance(phi, (sym.TrueFormula, sym.FalseFormula)):
+            if isinstance(phi, rt.Solved):
                 return phi
             if isinstance(phi, sym.Pred):
                 return sym.Pred(phi.name, tuple(term(a) for a in phi.args))
@@ -240,7 +257,7 @@ class _Recursive:
     @staticmethod
     def symbolic_safe_word_length(phi, interp):
         swl = _Recursive.symbolic_safe_word_length
-        if isinstance(phi, (sym.TrueFormula, sym.FalseFormula, sym.Pred, sym.Eq)):
+        if isinstance(phi, (rt.Solved, sym.Pred, sym.Eq)):
             return 0
         if isinstance(phi, sym.Not):
             return swl(phi.body, interp)
@@ -262,7 +279,7 @@ class _Recursive:
     @staticmethod
     def next_form(phi, interp):
         nf = _Recursive.next_form
-        if isinstance(phi, (sym.TrueFormula, sym.FalseFormula, sym.Pred, sym.Eq)):
+        if isinstance(phi, (rt.Solved, sym.Pred, sym.Eq)):
             return phi
         if isinstance(phi, (sym.Not, sym.Next)):
             return type(phi)(nf(phi.body, interp))
@@ -278,7 +295,7 @@ class _Recursive:
             t = sym._eval_timeout(phi.timeout, interp)
             if isinstance(phi, sym.Eventually):
                 if t == 0:
-                    return sym.FalseFormula()
+                    return rt.BOTTOM
                 body = nf(phi.body, interp)
                 acc = body
                 for _ in range(t - 1):
@@ -286,7 +303,7 @@ class _Recursive:
                 return acc
             if isinstance(phi, sym.Always):
                 if t == 0:
-                    return sym.TrueFormula()
+                    return rt.TOP
                 body = nf(phi.body, interp)
                 acc = body
                 for _ in range(t - 1):
@@ -294,14 +311,14 @@ class _Recursive:
                 return acc
             if isinstance(phi, sym.Until):
                 if t == 0:
-                    return sym.FalseFormula()
+                    return rt.BOTTOM
                 left, right = nf(phi.left, interp), nf(phi.right, interp)
                 acc = right
                 for _ in range(t - 1):
                     acc = sym.Or(right, sym.And(left, sym.Next(acc)))
                 return acc
             if t == 0:
-                return sym.TrueFormula()
+                return rt.TOP
             left, right = nf(phi.left, interp), nf(phi.right, interp)
             acc = right
             for _ in range(t - 1):
@@ -312,9 +329,9 @@ class _Recursive:
     @staticmethod
     def format_formula(phi):
         f, t = _Recursive.format_formula, sexpr.format_term
-        if isinstance(phi, sym.TrueFormula):
+        if isinstance(phi, rt.Solved) and phi.value is truth.TRUE:
             return "true"
-        if isinstance(phi, sym.FalseFormula):
+        if isinstance(phi, rt.Solved) and phi.value is truth.FALSE:
             return "false"
         if isinstance(phi, sym.Pred):
             inner = " ".join(t(a) for a in phi.args)
@@ -345,9 +362,13 @@ class _Recursive:
         def fragment(phi):
             if isinstance(phi, sym.Not):
                 raise wordgen.GeneratorFragmentError("negation is not generatable")
-            if isinstance(phi, sym.FalseFormula):
+            if isinstance(phi, rt.Solved) and phi.value is truth.FALSE:
                 raise wordgen.GeneratorFragmentError("the false constant is not generatable")
-            if isinstance(phi, (sym.TrueFormula, sym.Pred, sym.Eq)):
+            if isinstance(phi, rt.Solved) and phi.value is truth.INCONCLUSIVE:
+                raise wordgen.GeneratorFragmentError(
+                    "the inconclusive constant is not generatable"
+                )
+            if isinstance(phi, (rt.Solved, sym.Pred, sym.Eq)):
                 return
             if isinstance(phi, (sym.And, sym.Or, sym.Implies)):
                 fragment(phi.left)
@@ -483,13 +504,13 @@ def zero_window(op, *operands):
     return op(sym.Lit(0), *operands)
 
 
-OPEN_TIMEOUT = sym.eventually(sym.Var("o"), sym.TrueFormula())
+OPEN_TIMEOUT = sym.eventually(sym.Var("o"), rt.TOP)
 ODD_SYMBOLIC = [
     # A zero window is decided before its open operand is expanded.
     zero_window(sym.Eventually, OPEN_TIMEOUT),
-    zero_window(sym.Until, sym.TrueFormula(), OPEN_TIMEOUT),
-    zero_window(sym.Always, sym.Not(sym.FalseFormula())),
-    zero_window(sym.Release, sym.FalseFormula(), sym.TrueFormula()),
+    zero_window(sym.Until, rt.TOP, OPEN_TIMEOUT),
+    zero_window(sym.Always, sym.Not(rt.BOTTOM)),
+    zero_window(sym.Release, rt.BOTTOM, rt.TOP),
     # An outer timeout is evaluated before the operands are walked.
     sym.always(sym.App("mystery"), OPEN_TIMEOUT),
     sym.until(sym.App("mystery"), OPEN_TIMEOUT, sym.pred("leq", 1, 2)),
@@ -505,7 +526,14 @@ def recursive_generate_word(phi):
 
 @pytest.mark.parametrize(
     "name",
-    ["free_vars", "symbolic_safe_word_length", "next_form", "format_formula", "check_generatable"],
+    [
+        "free_vars",
+        "constants",
+        "symbolic_safe_word_length",
+        "next_form",
+        "format_formula",
+        "check_generatable",
+    ],
 )
 def test_symbolic_walkers_agree_with_recursion(name):
     new = {
@@ -519,7 +547,7 @@ def test_symbolic_walkers_agree_with_recursion(name):
         "next_form": lambda phi: _Recursive.next_form(phi, INTERP),
         "check_generatable": recursive_generate_word,
     }.get(name, getattr(_Recursive, name))
-    for phi in [*symbolic_formulas(), *ODD_SYMBOLIC, sym.And(sym.TrueFormula(), UNKNOWN)]:
+    for phi in [*symbolic_formulas(), *ODD_SYMBOLIC, sym.And(rt.TOP, UNKNOWN)]:
         for node in subformulas(phi, sym.CHILDREN):
             assert outcome(new, node) == outcome(old, node)
             expanded = outcome(_Recursive.next_form, node, INTERP)

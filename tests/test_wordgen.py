@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from streamcheck import symbolic as sym, truth, wordgen
+from streamcheck import runtime as rt, symbolic as sym, truth, wordgen
 from streamcheck.wordgen import GEN_ERR, generate_word, relaxed_judge, word_union
 
 from corpus import INTERP, consume_eq, random_generatable_formula
@@ -32,7 +32,7 @@ class TestWordUnion:
 
 class TestGenerateWord:
     def test_tautology_generates_the_empty_word(self):
-        assert generate_word(sym.TrueFormula(), INTERP, random.Random(0)) == []
+        assert generate_word(rt.TOP, INTERP, random.Random(0)) == []
 
     def test_next_then_consume(self):
         phi = sym.Next(consume_eq("x", "o", "a"))
@@ -89,7 +89,14 @@ class TestGenerateWord:
 
     def test_false_is_rejected(self):
         with pytest.raises(wordgen.GeneratorFragmentError):
-            generate_word(sym.FalseFormula(), INTERP, random.Random(0))
+            generate_word(rt.BOTTOM, INTERP, random.Random(0))
+
+    def test_non_true_leaves_are_rejected_by_name(self):
+        with pytest.raises(wordgen.GeneratorFragmentError, match="^the false constant is not generatable$"):
+            generate_word(sym.And(rt.TOP, rt.BOTTOM), INTERP, random.Random(0))
+        with pytest.raises(wordgen.GeneratorFragmentError, match="inconclusive constant"):
+            generate_word(rt.UNDECIDED, INTERP, random.Random(0))
+        assert generate_word(sym.Next(rt.Solved(truth.TRUE)), INTERP, random.Random(0)) == [frozenset()]
 
     def test_time_variable_in_body_is_rejected(self):
         phi = sym.Consume("x", "o", sym.eq(sym.Var("o"), sym.Lit(0)))
@@ -98,7 +105,7 @@ class TestGenerateWord:
 
     def test_temporal_formula_is_rejected(self):
         with pytest.raises(wordgen.GeneratorFragmentError):
-            generate_word(sym.always(2, sym.TrueFormula()), INTERP, random.Random(0))
+            generate_word(sym.always(2, rt.TOP), INTERP, random.Random(0))
 
 
 class TestRelaxedJudge:
