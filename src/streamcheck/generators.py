@@ -145,27 +145,12 @@ def always(batch_gen: GenFn, timeout: int) -> PrefixGen:
 
 def next_batch(batch_gen: GenFn) -> PrefixGen:
     """One empty instant, then the generated batch."""
-
-    @PrefixGen
-    def gen(rng: random.Random) -> Iterator[Any]:
-        yield EMPTY_BATCH
-        yield batch_gen(rng)
-
-    return gen
+    return concat(always(constant(EMPTY_BATCH), 1), always(batch_gen, 1))
 
 
 def eventually(batch_gen: GenFn, timeout: int) -> PrefixGen:
     """The batch lands at a uniform instant in [1, timeout]; empty before it."""
-    check_count(timeout, "timeout")
-
-    @PrefixGen
-    def gen(rng: random.Random) -> Iterator[Any]:
-        k = rng.randint(1, timeout)
-        for _ in range(k - 1):
-            yield EMPTY_BATCH
-        yield batch_gen(rng)
-
-    return gen
+    return until(constant(EMPTY_BATCH), batch_gen, timeout)
 
 
 def until(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
@@ -185,14 +170,12 @@ def until(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
 def release(first: GenFn, second: GenFn, timeout: int) -> PrefixGen:
     """Either ``timeout`` instants of ``second`` (no release), or ``second``
     everywhere with ``first`` superposed at a uniform release instant k."""
-    check_count(timeout, "timeout")
+    no_release = always(second, timeout)  # checks ``timeout``
 
     @PrefixGen
     def gen(rng: random.Random) -> Iterator[Any]:
-        no_release = rng.random() < 0.5
-        if no_release:
-            for _ in range(timeout):
-                yield second(rng)
+        if rng.random() < 0.5:
+            yield from no_release.batches(rng)
             return
         k = rng.randint(1, timeout)
         for _ in range(k - 1):

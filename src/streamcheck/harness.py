@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from random import Random
-from typing import Any, Callable, Generic, Iterable, Mapping, Optional, Tuple, TypeVar
+from typing import Any, Callable, Generic, Iterable, Iterator, Mapping, Optional, Tuple, TypeVar
 
 from . import semantics, truth
 from .generators import Batch, GenFn, StreamPrefix, batches_of, check_count
@@ -74,8 +74,9 @@ class IoLetter(Generic[I, O]):
 class HarnessConfig:
     """Clock, case budget, seed and oracle switch of a property run.
 
-    The clock fields and the counts are integers, not booleans:
-    ``start_time_ms`` may be 0, the other three must be positive.
+    The seed, the clock fields and the counts are integers, not booleans:
+    the seed may be any integer, ``start_time_ms`` may be 0 and the other
+    three must be positive.
     ``parallelism`` is validated and otherwise ignored: cases
     always run one at a time on the calling thread, so it changes neither
     how or where they run nor any report.
@@ -89,6 +90,8 @@ class HarnessConfig:
     oracle_crosscheck: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         check_count(self.batch_interval_ms, "batch_interval_ms")
         check_count(self.start_time_ms, "start_time_ms", least=0)
         check_count(self.min_tests_ok, "min_tests_ok")
@@ -169,8 +172,7 @@ def stateful_by_key(initial_value: Any, update: Callable[[Any, list], Any]) -> T
 
 def window(length: int) -> Transformation:
     """Sliding window with slide 1: instant i emits input batches max(1, i-length+1)..i."""
-    if length < 1:
-        raise ValueError("window length must be positive")
+    check_count(length, "window length")
 
     def step(state: Tuple[Batch, ...], batch: Batch, _t: int) -> Tuple[Tuple[Batch, ...], Batch]:
         kept = state + (batch,)
@@ -220,51 +222,45 @@ def run_test_case(
     or a generator's ``batches_of`` iterator.  A batch is pulled only while
     the formula is unsolved, so nothing is read past the deciding step; an
     exhausted prefix is closed out with the empty letter, which may leave the
-    verdict inconclusive.  A raise in pulling a batch is a
+    verdict inconclusive.  Batches are pulled through :func:`_pulled`, the
+    one place where a raise in drawing or converting a batch becomes a
     :class:`GeneratorError` at the step of that batch.  With
     ``oracle_crosscheck`` the reference judges the word the monitor consumed:
     a decided verdict on a finite word never changes when the word is
     extended, so the unread rest cannot matter.
     """
-    monitor, _word = _run_case(batches, transformation, formula, cfg)
+    monitor, _word = _run_case(_pulled(batches), transformation, formula, cfg)
     return monitor.verdict, tuple(monitor.trace)
 
 
 def _run_case(
-    batches: Iterable[Batch],
+    batches: Iterator[Batch],
     transformation: Transformation,
     formula: Formula,
     cfg: HarnessConfig,
 ) -> Tuple[Monitor, list]:
-    """:func:`run_test_case`, returning the decided monitor and the consumed
-    word; the monitor's trace is sized only if the caller reads it."""
+    """:func:`run_test_case` on :func:`_pulled` batches, returning the decided
+    monitor and the consumed word; the monitor's trace is sized only if the
+    caller reads it."""
     monitor = Monitor(formula)
     state = transformation.initial
     word = []
     if monitor.verdict is None:
-        try:
-            for instant, batch in enumerate(batches, 1):
-                batch = Batch(batch)
-                time_ms = time_of(instant, cfg)
-                try:
-                    state, out = transformation.step(state, batch, time_ms)
-                    out = Batch(out)
-                except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
-                    raise TransformationError(instant, exc) from exc
-                letter = IoLetter(batch, out, time_ms)
-                word.append((letter, time_ms))
-                try:
-                    monitor.step(letter, time_ms)
-                except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
-                    raise PredicateError(instant, exc) from exc
-                if monitor.verdict is not None:
-                    break
-        except CaseError:
-            raise
-        except Exception as exc:  # noqa: BLE001 - generators are arbitrary
-            # Only drawing a batch is left to raise: the subject's and the
-            # monitor's raises are case errors already.
-            raise GeneratorError(len(word) + 1, exc) from exc
+        for instant, batch in enumerate(batches, 1):
+            time_ms = time_of(instant, cfg)
+            try:
+                state, out = transformation.step(state, batch, time_ms)
+                out = Batch(out)
+            except Exception as exc:  # noqa: BLE001 - subject code is arbitrary
+                raise TransformationError(instant, exc) from exc
+            letter = IoLetter(batch, out, time_ms)
+            word.append((letter, time_ms))
+            try:
+                monitor.step(letter, time_ms)
+            except Exception as exc:  # noqa: BLE001 - predicates are arbitrary
+                raise PredicateError(instant, exc) from exc
+            if monitor.verdict is not None:
+                break
         if monitor.verdict is None:
             monitor.finish()  # the empty letter calls no predicate
     verdict = monitor.verdict
@@ -337,20 +333,21 @@ def for_all_stream(
     prefixed with ``case <index>: ``.
 
     A raise in the generator is a :class:`GeneratorError` at the step whose
-    batch was being drawn; a generator that is not a ``PrefixGen`` draws its
-    whole prefix before step 1, so its raise names step 1.  A refuted case's
-    counterexample holds its whole prefix, so the unread rest is drawn too:
-    a raise there turns the refutation into that generator error.
+    batch was being drawn, named by :func:`_pulled`; a generator that is not
+    a ``PrefixGen`` draws its whole prefix before step 1 (:func:`_draw`), so
+    its raise names step 1.  A refuted case's counterexample holds its whole
+    prefix, so the unread rest is pulled from the same iterator: a raise
+    there turns the refutation into that generator error.
     """
     passed = inconclusive = failed = errors = 0
     counterexample = None
     error_message = None
     for index in range(1, cfg.min_tests_ok + 1):
         try:
-            batches = _draw(gen, case_rng(cfg.seed, index))
+            batches = _pulled(_draw(gen, case_rng(cfg.seed, index)))
             monitor, word = _run_case(batches, transformation, formula, cfg)
             if monitor.verdict is truth.FALSE:
-                prefix = _whole_prefix(word, batches)
+                prefix = StreamPrefix([letter.input for letter, _t in word] + list(batches))
         except CaseError as exc:
             errors = 1
             error_message = f"case {index}: {exc}"
@@ -389,16 +386,17 @@ def _draw(gen: GenFn, rng: Random) -> Iterable[Batch]:
         raise GeneratorError(1, exc) from exc
 
 
-def _whole_prefix(word: list, batches: Iterable[Batch]) -> StreamPrefix:
-    """The batches the monitor read, then the rest of ``batches``; a raise in
-    drawing the rest is a :class:`GeneratorError` at the step drawn."""
-    prefix = [letter.input for letter, _t in word]
+def _pulled(batches: Iterable[Any]) -> Iterator[Batch]:
+    """Each of ``batches`` as a ``Batch``: the one iterator every batch of a
+    case is pulled through.  A raise in drawing or converting the k-th batch
+    is a :class:`GeneratorError` at step k."""
+    step = 1
     try:
         for batch in batches:
-            prefix.append(Batch(batch))
+            yield Batch(batch)
+            step += 1
     except Exception as exc:  # noqa: BLE001 - generators are arbitrary
-        raise GeneratorError(len(prefix) + 1, exc) from exc
-    return StreamPrefix(prefix)
+        raise GeneratorError(step, exc) from exc
 
 
 # ---------------------------------------------------------------------------

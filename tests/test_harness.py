@@ -70,6 +70,13 @@ class TestConfigValidation:
                 HarnessConfig(**{field: bad})
         assert getattr(HarnessConfig(**{field: 1}), field) == 1
 
+    def test_seed_is_any_integer(self):
+        # ``True == 1``, yet the two seeds draw different cases.
+        for bad in (True, 1.5, "1"):
+            with pytest.raises(ValueError, match="^seed must be an integer, got "):
+                HarnessConfig(seed=bad)
+        assert [HarnessConfig(seed=seed).seed for seed in (0, -3)] == [0, -3]
+
 
 class TestTransformations:
     def test_map_filter_flat_map_are_per_batch(self):
@@ -97,6 +104,11 @@ class TestTransformations:
         for batch in [Batch([1, 2]), Batch([3])]:
             state, out = subject.step(state, batch, 0)
             assert out == batch
+
+    @pytest.mark.parametrize("length", [0, True, 2.5])
+    def test_window_length_is_checked_when_built(self, length):
+        with pytest.raises(ValueError, match="^window length must be a positive integer"):
+            harness.window(length)
 
     def test_count_by_value_first_seen_order(self):
         subject = harness.count_by_value()
@@ -623,6 +635,34 @@ class TestGeneratorErrors:
             run_test_case(batches(), harness.map_elements(str), rt.Always(3, output_nonempty()), CFG)
         assert raised.value.step == 2 and isinstance(raised.value.cause, KeyError)
         assert isinstance(raised.value, harness.CaseError)
+
+
+class TestPulledConversion:
+    """A pulled batch that is no iterable is a generator error at its step."""
+
+    @staticmethod
+    def yielding(*batches):
+        return gen.PrefixGen(lambda rng: iter(batches))
+
+    @pytest.mark.parametrize(
+        "formula,step",
+        [
+            (rt.Always(3, output_nonempty()), 2),  # read by the monitor
+            (rt.Always(3, rt.now(lambda _: False)), 2),  # the unread rest
+            (rt.BOTTOM, 3),  # the unread rest, nothing read
+        ],
+        ids=["read", "refuted-rest", "refuted-at-init"],
+    )
+    def test_for_all_stream(self, formula, step):
+        prefixes = self.yielding([1], *[[2]] * (step - 2), 7, [3])
+        report = for_all_stream(prefixes, harness.map_elements(str), formula, CFG)
+        assert (report.cases, report.errors, report.failed, report.counterexample) == (1, 1, 0, None)
+        assert report.error_message.startswith(f"case 1: generator failed at step {step}: TypeError(")
+
+    def test_run_test_case(self):
+        with pytest.raises(GeneratorError) as raised:
+            run_test_case([[1], 7], harness.map_elements(str), rt.Always(3, output_nonempty()), CFG)
+        assert raised.value.step == 2 and isinstance(raised.value.cause, TypeError)
 
 
 class TestLazySizing:

@@ -290,6 +290,22 @@ class TestLetterSimplify:
         assert rt.letter_simplify(Not(letter_is("a")), ("a", 0)) == Solved(truth.FALSE)
         assert rt.letter_simplify(Not(letter_is("a")), None) == rt.UNDECIDED
 
+    @pytest.mark.parametrize(
+        "phi",
+        [
+            Eventually(3, letter_is("a")),
+            rt.Always(3, letter_is("a")),
+            Until(2, letter_is("b"), letter_is("a")),
+            Release(2, letter_is("a"), letter_is("b")),
+        ],
+        ids=["eventually", "always", "until", "release"],
+    )
+    def test_a_timed_head_simplifies_as_its_unfolding(self, phi):
+        # The monitor unfolds before it simplifies, so only a direct call
+        # reaches a timed operator at the head.
+        for letter in (("a", 0), ("b", 100)):
+            assert rt.letter_simplify(phi, letter) == rt.letter_simplify(rt.unfold(phi), letter)
+
 
 class TestSafeWordLength:
     def test_invariant_with_lookahead(self):
