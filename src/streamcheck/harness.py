@@ -76,7 +76,7 @@ class HarnessConfig:
 
     The seed, the clock fields and the counts are integers, not booleans:
     the seed may be any integer, ``start_time_ms`` may be 0 and the other
-    three must be positive.
+    three must be positive.  ``oracle_crosscheck`` is a bool.
     ``parallelism`` is validated and otherwise ignored: cases
     always run one at a time on the calling thread, so it changes neither
     how or where they run nor any report.
@@ -92,6 +92,8 @@ class HarnessConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
+        if type(self.oracle_crosscheck) is not bool:
+            raise ValueError(f"oracle_crosscheck must be a bool, got {self.oracle_crosscheck!r}")
         check_count(self.batch_interval_ms, "batch_interval_ms")
         check_count(self.start_time_ms, "start_time_ms", least=0)
         check_count(self.min_tests_ok, "min_tests_ok")

@@ -12,6 +12,7 @@ instant.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import partial
 from operator import attrgetter
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
@@ -150,10 +151,10 @@ class Consume(Formula):
     residual, and hands every occurrence the same result.  Nodes are
     dispatched on their exact type, so a subclass of ``Consume`` (or of any
     node type) is foreign to the monitor, as it is to :func:`fold`.  When
-    ``static_depth`` is present it must equal the safe word length of every
-    formula the consumer can return, plus one; constructors that cannot
-    guarantee a uniform depth leave it ``None``, which makes
-    :func:`safe_word_length` fail rather than guess.
+    ``static_depth`` is present it is a positive integer equal to the safe
+    word length of every formula the consumer can return, plus one;
+    constructors that cannot guarantee a uniform depth leave it ``None``,
+    which makes :func:`safe_word_length` fail rather than guess.
     """
 
     consumer: Callable[[Any, Timestamp], Formula]
@@ -163,6 +164,8 @@ class Consume(Formula):
     def __init__(
         self, consumer: Callable, static_depth: Optional[int] = None, label: str = "consume"
     ) -> None:
+        if static_depth is not None:
+            _check_count(static_depth, "static_depth")
         _consume_consumer(self, consumer)
         _consume_static_depth(self, static_depth)
         _consume_label(self, label)
@@ -192,7 +195,7 @@ class Eventually(Timed):
     body: Formula
 
     def __init__(self, timeout: int, body: Formula) -> None:
-        _check_timeout(timeout)
+        _check_count(timeout, "timeout")
         _eventually_timeout(self, timeout)
         _eventually_body(self, body)
         _set_unfolded(self, None)
@@ -204,7 +207,7 @@ class Always(Timed):
     body: Formula
 
     def __init__(self, timeout: int, body: Formula) -> None:
-        _check_timeout(timeout)
+        _check_count(timeout, "timeout")
         _always_timeout(self, timeout)
         _always_body(self, body)
         _set_unfolded(self, None)
@@ -217,7 +220,7 @@ class Until(Timed):
     right: Formula
 
     def __init__(self, timeout: int, left: Formula, right: Formula) -> None:
-        _check_timeout(timeout)
+        _check_count(timeout, "timeout")
         _until_timeout(self, timeout)
         _until_left(self, left)
         _until_right(self, right)
@@ -231,7 +234,7 @@ class Release(Timed):
     right: Formula
 
     def __init__(self, timeout: int, left: Formula, right: Formula) -> None:
-        _check_timeout(timeout)
+        _check_count(timeout, "timeout")
         _release_timeout(self, timeout)
         _release_left(self, left)
         _release_right(self, right)
@@ -259,9 +262,10 @@ _release_right = Release.right.__set__
 _TIMED = frozenset((Eventually, Always, Until, Release))
 
 
-def _check_timeout(t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
-        raise FormulaError(f"timeout must be a positive integer, got {t!r}")
+def _check_count(value: Any, name: str, least: int = 1) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or value < least:
+        count = "a positive integer" if least else "a natural number"
+        raise FormulaError(f"{name} must be {count}, got {value!r}")
 
 
 TOP = Solved(truth.TRUE)
@@ -272,6 +276,9 @@ UNDECIDED = Solved(truth.INCONCLUSIVE)
 # ``merge_obligations`` compares timed operands by identity, and a leaf shared
 # between the operands of two windows would let it merge them.
 _LEAVES = {truth.TRUE: TOP, truth.FALSE: BOTTOM, truth.INCONCLUSIVE: UNDECIDED}
+# The verdict of a window of length zero, an empty disjunction or conjunction,
+# keyed by operator class name as in :func:`_expand`; no operand is needed.
+ZERO_WINDOW = {"Eventually": BOTTOM, "Until": BOTTOM, "Always": TOP, "Release": TOP}
 
 
 # ---------------------------------------------------------------------------
@@ -481,30 +488,18 @@ def mk_next(body: Formula) -> Formula:
     return Next(body)
 
 
-def make_eventually(timeout: int, body: Formula) -> Formula:
-    """Timeout-aware constructor: a zero window has already failed."""
-    _check_degenerate(timeout)
-    return BOTTOM if timeout == 0 else Eventually(timeout, body)
+def make_window(kind: type, timeout: int, *operands: Formula) -> Formula:
+    """Timed-operator constructor: a zero window is its :data:`ZERO_WINDOW` leaf."""
+    _check_count(timeout, "timeout", least=0)
+    if timeout == 0:
+        return ZERO_WINDOW[kind.__name__]
+    return kind(timeout, *operands)
 
 
-def make_always(timeout: int, body: Formula) -> Formula:
-    _check_degenerate(timeout)
-    return TOP if timeout == 0 else Always(timeout, body)
-
-
-def make_until(timeout: int, left: Formula, right: Formula) -> Formula:
-    _check_degenerate(timeout)
-    return BOTTOM if timeout == 0 else Until(timeout, left, right)
-
-
-def make_release(timeout: int, left: Formula, right: Formula) -> Formula:
-    _check_degenerate(timeout)
-    return TOP if timeout == 0 else Release(timeout, left, right)
-
-
-def _check_degenerate(t: int) -> None:
-    if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-        raise FormulaError(f"timeout must be a natural number, got {t!r}")
+make_eventually = partial(make_window, Eventually)
+make_always = partial(make_window, Always)
+make_until = partial(make_window, Until)
+make_release = partial(make_window, Release)
 
 
 # ---------------------------------------------------------------------------
@@ -593,12 +588,11 @@ def next_form_chain(kind: str, timeout: int, operands: Sequence[Any], algebra: S
     Starting from the timeout-1 base case, the right operand, each instant
     applies the same :func:`_expand` law as :func:`unfold`, so the chain is
     right-nested, the fixpoint of the lazy unfolding.  A zero window is
-    decided without its operands, as :data:`BOTTOM` or :data:`TOP`: both
-    algebras share these verdict leaves.
+    decided without its operands, as its :data:`ZERO_WINDOW` leaf.
     """
     or_, and_, next_ = algebra
     if timeout == 0:
-        return BOTTOM if kind in ("Eventually", "Until") else TOP
+        return ZERO_WINDOW[kind]
     left, right = operands[0], operands[-1]
     acc = right
     for _ in range(timeout - 1):

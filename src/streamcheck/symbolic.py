@@ -16,6 +16,7 @@ classes of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from operator import is_not
 from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -402,19 +403,24 @@ def judge(
 # Safe word length at the symbolic level (needed to declare static depths)
 
 
-def _closed_timeout(phi: SymFormula, interp: Interpretation, error: type, reason: str) -> int:
+def _window_operands(
+    phi: SymFormula, interp: Interpretation, error: type, reason: str
+) -> Tuple[SymFormula, ...]:
+    """The operands a fold walker walks under a window, once its timeout is
+    checked closed: none for a zero window, whose verdict needs none."""
     if term_free_vars(phi.timeout):
         raise error(f"{reason}: variables in timeout {phi.timeout!r}")
-    return _eval_timeout(phi.timeout, interp)
+    return CHILDREN[type(phi)](phi) if _eval_timeout(phi.timeout, interp) else ()
 
 
 def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
     """Safe word length; undefined when a timeout term contains variables."""
-
-    def enter(node: SymFormula) -> Tuple[SymFormula, ...]:
-        # Each timeout is checked before the operator's operands are walked.
-        _closed_timeout(node, interp, runtime.SafeLengthUndefined, "safe word length undefined")
-        return CHILDREN[type(node)](node)
+    enter = partial(
+        _window_operands,
+        interp=interp,
+        error=runtime.SafeLengthUndefined,
+        reason="safe word length undefined",
+    )
 
     def visit(node: SymFormula, kids: Sequence[int]) -> int:
         kind = type(node)
@@ -424,7 +430,8 @@ def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
         if kind is Next or kind is Consume:
             return length + 1
         if kind in _TIMED:
-            return length + (_eval_timeout(node.timeout, interp) - 1)
+            # A zero window, walked without operands, inspects no instant.
+            return length + (_eval_timeout(node.timeout, interp) - 1) if kids else 0
         return length
 
     return runtime.fold(phi, {**CHILDREN, **dict.fromkeys(_TIMED, enter)}, visit)
@@ -446,12 +453,9 @@ _ALGEBRA = (Or, And, Next)
 
 def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
     """Expand timed operators away; timeouts must be variable-free."""
-
-    def enter(node: SymFormula) -> Tuple[SymFormula, ...]:
-        # A zero window is decided before its operands are expanded.
-        if _closed_timeout(node, interp, OpenFormula, "cannot expand ahead of time") == 0:
-            return ()
-        return CHILDREN[type(node)](node)
+    enter = partial(
+        _window_operands, interp=interp, error=OpenFormula, reason="cannot expand ahead of time"
+    )
 
     def visit(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
         kind = type(node)
@@ -499,8 +503,10 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
         return Solved(Verdict.from_bool(_holds(phi, interp, relaxed=False)))
     build = _COMPILE.get(type(phi))
     if build is not None:
-        # A timed operator evaluates its timeout before its operands compile.
+        # A timeout is evaluated first, and a zero window compiles no operand.
         timeout = [_eval_timeout(term, interp) for term in node_terms(phi)]
+        if timeout == [0]:
+            return build(0)
         return build(*timeout, *[compile_formula(sub, interp) for sub in CHILDREN[type(phi)](phi)])
     if isinstance(phi, Consume):
         body, var, time_var = phi.body, phi.var, phi.time_var

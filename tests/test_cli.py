@@ -103,6 +103,17 @@ def test_eval_closes_a_huge_open_window(tmp_path, capsys):
     assert "verdict=?" in out and "reference=?" in out
 
 
+def test_eval_decides_zero_windows_before_their_operands(tmp_path, capsys):
+    scenario = tmp_path / "scenario.sexpr"
+    scenario.write_text(
+        "(scenario (formula (and (always 0 (undefined a)) (not (eventually 0 (undefined b)))))"
+        " (word (a 0)) (expect T))"
+    )
+    assert main(["eval", str(scenario), "--oracle"]) == 0
+    out = capsys.readouterr().out
+    assert "verdict=T" in out and "reference=T" in out
+
+
 def test_eval_mismatch_exits_one(tmp_path, capsys):
     scenario = tmp_path / "scenario.sexpr"
     scenario.write_text(

@@ -77,6 +77,14 @@ class TestConfigValidation:
                 HarnessConfig(seed=bad)
         assert [HarnessConfig(seed=seed).seed for seed in (0, -3)] == [0, -3]
 
+    def test_oracle_crosscheck_is_a_bool(self):
+        # The cross-check is switched by truthiness, so ``"no"`` would turn it on.
+        for bad in ("no", 1, 0, None):
+            with pytest.raises(ValueError, match="^oracle_crosscheck must be a bool, got "):
+                HarnessConfig(oracle_crosscheck=bad)
+        for on in (True, False):
+            assert HarnessConfig(oracle_crosscheck=on).oracle_crosscheck is on
+
 
 class TestTransformations:
     def test_map_filter_flat_map_are_per_batch(self):

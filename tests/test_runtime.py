@@ -324,6 +324,18 @@ class TestSafeWordLength:
         with pytest.raises(rt.SafeLengthUndefined):
             rt.safe_word_length(Eventually(2, dynamic))
 
+    @pytest.mark.parametrize("depth", [True, 2.5, 0, -1, "1"], ids=repr)
+    @pytest.mark.parametrize("build", [Consume, rt.bind], ids=["Consume", "bind"])
+    def test_static_depth_is_checked_when_built(self, build, depth):
+        # ``True`` would count as a depth of 1, and 2.5 as a fractional one.
+        with pytest.raises(rt.FormulaError, match="^static_depth must be a positive integer"):
+            build(_consumer, static_depth=depth)
+
+    @pytest.mark.parametrize("build", [Consume, rt.bind], ids=["Consume", "bind"])
+    def test_static_depth_is_none_or_positive(self, build):
+        for depth in (None, 1, 4):
+            assert build(_consumer, static_depth=depth).static_depth == depth
+
     def test_sufficiency_on_corpus(self):
         rng = random.Random(77)
         checked = 0

@@ -174,11 +174,16 @@ class TestCompile:
         """The declared depth covers the safe word length of whatever the
         consumer returns, plus one, for every letter (compile-time constant
         folding may shrink a particular result below the declared bound, which
-        keeps the bound sufficient)."""
+        keeps the bound sufficient).  A zero window inspects no instant, so
+        a consume over one has depth 1."""
         rng = random.Random(23)
+        zero_window = consume("x", "o", sym.always(0, sym.pred("q", sym.Var("x"))))
         checked = 0
-        while checked < 100:
-            phi = random_symbolic_formula(rng, depth=4, variable_timeouts=False)
+        while checked <= 100:
+            if checked < 100:
+                phi = random_symbolic_formula(rng, depth=4, variable_timeouts=False)
+            else:
+                phi = zero_window
             compiled = sym.compile_formula(phi, INTERP)
             if not isinstance(compiled, rt.Consume):
                 continue
@@ -204,6 +209,39 @@ class TestCompile:
             compiled = sym.compile_formula(phi, INTERP)
             assert semantics.models(word, compiled) is expected
             assert monitor_verdict(compiled, word) is expected
+
+
+# Operands that raise if walked: an uninterpreted predicate when compiled or
+# judged, and a window with an open timeout also when expanded or measured.
+UNWALKABLE = {
+    "uninterpreted": sym.pred("undefined", "a"),
+    "open-timeout": sym.eventually(sym.Var("o"), sym.pred("undefined", "a")),
+}
+
+
+@pytest.mark.parametrize("operand", UNWALKABLE.values(), ids=list(UNWALKABLE))
+@pytest.mark.parametrize(
+    "window, leaf",
+    [
+        (sym.eventually, rt.BOTTOM),
+        (sym.always, rt.TOP),
+        (lambda t, p: sym.until(t, p, p), rt.BOTTOM),
+        (lambda t, p: sym.release(t, p, p), rt.TOP),
+    ],
+    ids=["eventually", "always", "until", "release"],
+)
+def test_a_zero_window_is_decided_before_its_operands(window, leaf, operand):
+    with pytest.raises(sym.SymbolicError):
+        sym.compile_formula(window(1, operand), INTERP)
+    phi = window(0, operand)
+    compiled = sym.compile_formula(phi, INTERP)
+    assert compiled is leaf
+    for word in ([], [(sym.App("a"), 0)]):
+        assert monitor_verdict(compiled, word) is leaf.value
+        assert sym.judge(word, 1, phi, INTERP) is leaf.value
+    assert sym.next_form(phi, INTERP) is leaf
+    assert sym.symbolic_safe_word_length(phi, INTERP) == 0
+    assert sym.compile_formula(consume("x", "o", phi), INTERP).static_depth == 1
 
 
 def test_symbolic_safe_word_length_matches_examples():

@@ -271,6 +271,8 @@ class _Recursive:
                     f"safe word length undefined: variables in timeout {phi.timeout!r}"
                 )
             t = sym._eval_timeout(phi.timeout, interp)
+            if t == 0:
+                return 0
             if isinstance(phi, (sym.Eventually, sym.Always)):
                 return swl(phi.body, interp) + (t - 1)
             return max(swl(phi.left, interp), swl(phi.right, interp)) + (t - 1)
