@@ -63,7 +63,9 @@ def constant(value: T) -> GenFn:
 
 
 def choose_int(low: int, high: int) -> GenFn:
-    """Uniform integer in [low, high]."""
+    """Uniform integer in [low, high]; the bounds are checked when built."""
+    if not all(isinstance(b, int) and not isinstance(b, bool) for b in (low, high)) or low > high:
+        raise ValueError(f"choose_int needs integers low <= high, got {low!r}, {high!r}")
     return lambda rng: rng.randint(low, high)
 
 

@@ -16,7 +16,6 @@ classes of this module.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from operator import is_not
 from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
 
@@ -354,9 +353,14 @@ def _lower_atom(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runti
     return TOP if _holds(phi, interp, relaxed) else BOTTOM
 
 
+# Each symbolic window's runtime window, built by ``runtime.make_window``.
+_WINDOW = dict(zip(_TIMED, (runtime.Eventually, runtime.Always, runtime.Until, runtime.Release)))
+
+
 def _lower_window(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runtime.Formula:
     kind = type(phi)
-    return _COMPILE[kind](_eval_timeout(phi.timeout, interp), *CHILDREN[kind](phi))
+    timeout = _eval_timeout(phi.timeout, interp)
+    return runtime.make_window(_WINDOW[kind], timeout, *CHILDREN[kind](phi))
 
 
 def _lower_consume(phi: Consume, interp: Interpretation, relaxed: bool) -> runtime.Formula:
@@ -400,41 +404,43 @@ def judge(
 
 
 # ---------------------------------------------------------------------------
-# Safe word length at the symbolic level (needed to declare static depths)
+# Walks that lower each window once: safe word length, next form, compilation
 
 
-def _window_operands(
-    phi: SymFormula, interp: Interpretation, error: type, reason: str
-) -> Tuple[SymFormula, ...]:
-    """The operands a fold walker walks under a window, once its timeout is
-    checked closed: none for a zero window, whose verdict needs none."""
-    if term_free_vars(phi.timeout):
-        raise error(f"{reason}: variables in timeout {phi.timeout!r}")
-    return CHILDREN[type(phi)](phi) if _eval_timeout(phi.timeout, interp) else ()
+# The symbolic nodes, and the runtime windows that symbolic windows lower to.
+_WALK = {**CHILDREN, **{kind: runtime.CHILDREN[kind] for kind in runtime._TIMED}}
+
+
+def _lowering(table: Mapping, interp: Interpretation, error: Any = None, reason: str = "") -> dict:
+    """``table`` where a symbolic window's child is its :func:`_lower_window`:
+    the runtime window over its symbolic operands, or a zero window's leaf.
+    Its timeout is evaluated there, once; with ``error``, a timeout with
+    variables raises it first."""
+
+    def lower(node: SymFormula) -> Tuple[runtime.Formula]:
+        if error is not None and term_free_vars(node.timeout):
+            raise error(f"{reason}: variables in timeout {node.timeout!r}")
+        return (_lower_window(node, interp, False),)
+
+    table = dict(table)
+    table[Eventually] = table[Always] = table[Until] = table[Release] = lower
+    return table
+
+
+def _safe_length_node(node: SymFormula, kids: Sequence[int]) -> int:
+    kind = type(node)
+    if kind not in _WALK:
+        raise SymbolicError(f"unknown formula {node!r}")
+    length = max(kids, default=0)
+    if kind is Next or kind is Consume:
+        return length + 1
+    return length + (node.timeout - 1) if kind in runtime._TIMED else length
 
 
 def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
     """Safe word length; undefined when a timeout term contains variables."""
-    enter = partial(
-        _window_operands,
-        interp=interp,
-        error=runtime.SafeLengthUndefined,
-        reason="safe word length undefined",
-    )
-
-    def visit(node: SymFormula, kids: Sequence[int]) -> int:
-        kind = type(node)
-        if kind not in CHILDREN:
-            raise SymbolicError(f"unknown formula {node!r}")
-        length = max(kids, default=0)
-        if kind is Next or kind is Consume:
-            return length + 1
-        if kind in _TIMED:
-            # A zero window, walked without operands, inspects no instant.
-            return length + (_eval_timeout(node.timeout, interp) - 1) if kids else 0
-        return length
-
-    return runtime.fold(phi, {**CHILDREN, **dict.fromkeys(_TIMED, enter)}, visit)
+    table = _lowering(_WALK, interp, runtime.SafeLengthUndefined, "safe word length undefined")
+    return runtime.fold(phi, table, _safe_length_node)
 
 
 def _static_depth(body: SymFormula, interp: Interpretation) -> Optional[int]:
@@ -444,45 +450,26 @@ def _static_depth(body: SymFormula, interp: Interpretation) -> Optional[int]:
         return None
 
 
-# ---------------------------------------------------------------------------
-# Symbolic next form (used before word generation)
-
-
 _ALGEBRA = (Or, And, Next)
+
+
+def _next_form_node(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
+    kind = type(node)
+    if kind in _TIMED:
+        return kids[0]  # the next form of its lowered window
+    if kind in runtime._TIMED:
+        return runtime.next_form_chain(kind.__name__, node.timeout, kids, _ALGEBRA)
+    if kind is Consume:
+        return Consume(node.var, node.time_var, kids[0])
+    if kind not in CHILDREN:
+        raise SymbolicError(f"unknown formula {node!r}")
+    return kind(*kids) if kids else node
 
 
 def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
     """Expand timed operators away; timeouts must be variable-free."""
-    enter = partial(
-        _window_operands, interp=interp, error=OpenFormula, reason="cannot expand ahead of time"
-    )
-
-    def visit(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
-        kind = type(node)
-        if kind in _TIMED:
-            t = _eval_timeout(node.timeout, interp)
-            return runtime.next_form_chain(kind.__name__, t, kids, _ALGEBRA)
-        if kind is Consume:
-            return Consume(node.var, node.time_var, kids[0])
-        if kind not in CHILDREN:
-            raise SymbolicError(f"unknown formula {node!r}")
-        return kind(*kids) if kids else node
-
-    return runtime.fold(phi, {**CHILDREN, **dict.fromkeys(_TIMED, enter)}, visit)
-
-
-# ---------------------------------------------------------------------------
-# Compilation to the runtime algebra
-
-
-# A connective compiles through the runtime's constant-folding constructor.
-_COMPILE = {
-    **runtime._REBUILD,
-    Eventually: runtime.make_eventually,
-    Always: runtime.make_always,
-    Until: runtime.make_until,
-    Release: runtime.make_release,
-}
+    table = _lowering(_WALK, interp, OpenFormula, "cannot expand ahead of time")
+    return runtime.fold(phi, table, _next_form_node)
 
 
 def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
@@ -492,31 +479,36 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
     every instant).  A consume node becomes a runtime consumer that
     substitutes the incoming letter and time and compiles the body, so
     variable timeouts resolve exactly when their binder fires.  A verdict
-    leaf is a runtime node already and is returned itself.
+    leaf is a runtime node already and is returned itself.  Atoms and
+    consumes are leaves of the walk, so a window's timeout is evaluated
+    before its operands, and atoms in pre-order.
     """
-    if type(phi) is Solved:
-        return phi
-    if isinstance(phi, (Pred, Eq)):
-        unbound = node_free_vars(phi, ())
-        if unbound:
-            raise OpenFormula(f"atom has free variables {sorted(unbound)}")
-        return Solved(Verdict.from_bool(_holds(phi, interp, relaxed=False)))
-    build = _COMPILE.get(type(phi))
-    if build is not None:
-        # A timeout is evaluated first, and a zero window compiles no operand.
-        timeout = [_eval_timeout(term, interp) for term in node_terms(phi)]
-        if timeout == [0]:
-            return build(0)
-        return build(*timeout, *[compile_formula(sub, interp) for sub in CHILDREN[type(phi)](phi)])
-    if isinstance(phi, Consume):
-        body, var, time_var = phi.body, phi.var, phi.time_var
 
-        def consumer(letter: Any, time: int) -> runtime.Formula:
-            letter_term = letter if isinstance(letter, Term) else Const(letter)
-            bound = substitute(body, {time_var: Lit(time), var: letter_term})
-            return compile_formula(bound, interp)
+    def visit(node: Any, kids: Sequence[runtime.Formula]) -> runtime.Formula:
+        kind = type(node)
+        if kids:  # a connective, or a window: a symbolic one gives its lowered one
+            if kind in runtime._REBUILD:
+                return runtime._REBUILD[kind](*kids)
+            return kids[0] if kind in _TIMED else kind(node.timeout, *kids)
+        if kind is Solved:
+            return node
+        if isinstance(node, (Pred, Eq)):
+            unbound = node_free_vars(node, ())
+            if unbound:
+                raise OpenFormula(f"atom has free variables {sorted(unbound)}")
+            # A fresh leaf: ``merge_obligations`` compares operands by identity.
+            return Solved(Verdict.from_bool(_holds(node, interp, relaxed=False)))
+        if isinstance(node, Consume):
+            body, var, time_var = node.body, node.var, node.time_var
 
-        return runtime.Consume(
-            consumer, static_depth=_static_depth(body, interp), label=f"consume {var}"
-        )
-    raise SymbolicError(f"unknown formula {phi!r}")
+            def consumer(letter: Any, time: int) -> runtime.Formula:
+                letter_term = letter if isinstance(letter, Term) else Const(letter)
+                bound = substitute(body, {time_var: Lit(time), var: letter_term})
+                return compile_formula(bound, interp)
+
+            return runtime.Consume(
+                consumer, static_depth=_static_depth(body, interp), label=f"consume {var}"
+            )
+        raise SymbolicError(f"unknown formula {node!r}")
+
+    return runtime.fold(phi, _lowering(runtime.CHILDREN, interp), visit)

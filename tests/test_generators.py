@@ -67,6 +67,16 @@ class TestBatchGenerators:
                 gen.batch_of_n_to_m(0, bad, good_pair)
 
 
+def test_choose_int_bounds_are_checked_when_built():
+    """Bounds are integers, not booleans, with ``low <= high``; a bad pair is
+    rejected when the generator is built, not when it draws."""
+    for low, high in ((True, 3), (0, False), (0.0, 3), (0, 2.5), ("1", 3), (0, None), (4, 3)):
+        with pytest.raises(ValueError, match="choose_int needs integers low <= high"):
+            gen.choose_int(low, high)
+    assert {run(gen.choose_int(-2, 1), seed) for seed in range(40)} == {-2, -1, 0, 1}
+    assert run(gen.choose_int(5, 5)) == 5
+
+
 TWO_ELEMS = gen.batch_of_n(2, gen.constant("e"))
 
 

@@ -1,5 +1,6 @@
 """Terms, substitution, interpretation, compilation, and their agreement."""
 
+import itertools
 import random
 
 import pytest
@@ -253,6 +254,64 @@ def test_symbolic_safe_word_length_matches_examples():
         ),
     )
     assert sym.symbolic_safe_word_length(phi, INTERP) == 4
+
+
+WINDOWS = {
+    "eventually": sym.Eventually,
+    "always": sym.Always,
+    "until": lambda t, p: sym.Until(t, p, p),
+    "release": lambda t, p: sym.Release(t, p, p),
+}
+ROUTES = {
+    "compile": sym.compile_formula,
+    "judge": lambda phi, interp: sym.judge([(sym.App("a"), 0)], 1, phi, interp),
+    "next_form": sym.next_form,
+    "safe_length": sym.symbolic_safe_word_length,
+}
+
+
+@pytest.mark.parametrize("route", ROUTES.values(), ids=list(ROUTES))
+@pytest.mark.parametrize("window", WINDOWS.values(), ids=list(WINDOWS))
+@pytest.mark.parametrize("length", [0, 3])
+def test_a_timeout_is_evaluated_once(route, window, length):
+    """Every route lowers a window once, so a user function in its timeout
+    runs once per window."""
+    calls = []
+
+    def plus(x, y):
+        calls.append((x, y))
+        return x + y
+
+    interp = sym.Interpretation({**INTERP.functions, "plus": plus}, INTERP.predicates)
+    route(window(sym.App("plus", (sym.Lit(length), sym.Lit(0))), sym.eq("a", "a")), interp)
+    assert calls == [(length, 0)]
+
+
+@pytest.mark.parametrize("kind, arity", [("Eventually", 1), ("Always", 1), ("Until", 2), ("Release", 2)])
+def test_a_runtime_window_over_symbolic_operands(kind, arity):
+    """A runtime window inside a symbolic formula is walked as the symbolic
+    window of the same timeout: the four routes agree on it."""
+    operands = (consume_eq("x", "o", "a"), consume_eq("y", "p", "b"))[:arity]
+
+    def within(window):
+        return sym.Or(sym.always(2, window), sym.Next(consume_eq("z", "q", "c")))
+
+    phi = within(getattr(rt, kind)(2, *operands))
+    twin = within(getattr(sym, kind)(sym.Lit(2), *operands))
+    compiled = sym.compile_formula(phi, INTERP)
+    assert rt.render(compiled) == rt.render(sym.compile_formula(twin, INTERP))
+    expanded = sym.next_form(phi, INTERP)
+    assert expanded == sym.next_form(twin, INTERP)
+    length = sym.symbolic_safe_word_length(phi, INTERP)
+    assert length == sym.symbolic_safe_word_length(twin, INTERP) == rt.safe_word_length(compiled)
+    for n in range(length + 1):
+        for letters in itertools.product("abc", repeat=n):
+            word = [(sym.App(letter), time) for time, letter in enumerate(letters)]
+            verdict = sym.judge(word, 1, phi, INTERP)
+            assert verdict is sym.judge(word, 1, twin, INTERP)
+            assert verdict is sym.judge(word, 1, expanded, INTERP)
+            assert verdict is monitor_verdict(compiled, word)
+            assert verdict.is_decided() or n < length
 
 
 def test_timeless_formulas_are_position_independent():

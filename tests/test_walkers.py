@@ -28,6 +28,7 @@ from corpus import (
     INTERP,
     consume_eq,
     letter_is,
+    monitor_verdict,
     random_generatable_formula,
     random_runtime_formula,
     random_symbolic_formula,
@@ -329,6 +330,42 @@ class _Recursive:
         raise sym.SymbolicError(f"unknown formula {phi!r}")
 
     @staticmethod
+    def compile_formula(phi, interp):
+        if type(phi) is Solved:
+            return phi
+        if isinstance(phi, (sym.Pred, sym.Eq)):
+            unbound = sym.node_free_vars(phi, ())
+            if unbound:
+                raise sym.OpenFormula(f"atom has free variables {sorted(unbound)}")
+            return Solved(truth.Verdict.from_bool(sym._holds(phi, interp, relaxed=False)))
+        build = {
+            **rt._REBUILD,
+            sym.Eventually: rt.make_eventually,
+            sym.Always: rt.make_always,
+            sym.Until: rt.make_until,
+            sym.Release: rt.make_release,
+        }.get(type(phi))
+        if build is not None:
+            # A timeout is evaluated first, and a zero window compiles no operand.
+            timeout = [sym._eval_timeout(term, interp) for term in sym.node_terms(phi)]
+            if timeout == [0]:
+                return build(0)
+            operands = sym.CHILDREN[type(phi)](phi)
+            return build(*timeout, *[_Recursive.compile_formula(sub, interp) for sub in operands])
+        if isinstance(phi, sym.Consume):
+            body, var, time_var = phi.body, phi.var, phi.time_var
+
+            def consumer(letter, time):
+                letter_term = letter if isinstance(letter, sym.Term) else sym.Const(letter)
+                bound = sym.substitute(body, {time_var: sym.Lit(time), var: letter_term})
+                return _Recursive.compile_formula(bound, interp)
+
+            return rt.Consume(
+                consumer, static_depth=sym._static_depth(body, interp), label=f"consume {var}"
+            )
+        raise sym.SymbolicError(f"unknown formula {phi!r}")
+
+    @staticmethod
     def format_formula(phi):
         f, t = _Recursive.format_formula, sexpr.format_term
         if isinstance(phi, rt.Solved) and phi.value is truth.TRUE:
@@ -557,6 +594,51 @@ def test_symbolic_walkers_agree_with_recursion(name):
                 assert outcome(new, expanded) == outcome(old, expanded)
 
 
+def recording(interp, log):
+    """``interp`` with every function and predicate call logged, in order."""
+
+    def logged(name, fn):
+        def call(*args):
+            log.append((name, args))
+            return fn(*args)
+
+        return call
+
+    return sym.Interpretation(
+        {name: logged(name, fn) for name, fn in interp.functions.items()},
+        {name: logged(name, fn) for name, fn in interp.predicates.items()},
+        interp.constants,
+    )
+
+
+def compiled_outcome(compile_formula, phi):
+    """What a compile gives, as text and size with each consume's label and
+    static depth, or the type and message of what it raised; and the
+    interpreted calls it made."""
+    log = []
+    compiled = outcome(compile_formula, phi, recording(INTERP, log))
+    if isinstance(compiled, rt.Formula):
+        consumes = [
+            (node.label, node.static_depth)
+            for node in subformulas(compiled, rt.CHILDREN)
+            if isinstance(node, Consume)
+        ]
+        compiled = (rt.render(compiled), rt.size(compiled), consumes)
+    return compiled, log
+
+
+def test_compile_agrees_with_recursion():
+    """The same compiled formula or error, from the same interpreted calls in
+    the same order: timeouts first, then operands left to right."""
+    compiled = 0
+    for phi in [*symbolic_formulas(), *ODD_SYMBOLIC, sym.And(rt.TOP, UNKNOWN)]:
+        for node in subformulas(phi, sym.CHILDREN):
+            new = compiled_outcome(sym.compile_formula, node)
+            assert new == compiled_outcome(_Recursive.compile_formula, node)
+            compiled += isinstance(new[0][0], str)  # a rendering, not an exception type
+    assert compiled > 1000
+
+
 def test_interpretation_symbols_agree_with_recursion():
     word = [(sym.App("plus", (sym.App("d"), sym.Lit(1))), 0), (sym.App("plus"), 1)]
     for phi in [*symbolic_formulas(), *ODD_SYMBOLIC]:
@@ -645,9 +727,11 @@ DEEP_TERM_WORD = [(sym.App(letter), time) for letter, time in DEEP_WORD]
     ids=["eventually", "always", "until", "release"],
 )
 def test_symbolic_judge_has_no_recursion_cliff(timed, verdict):
+    """The symbolic judgment and the compiled monitor, on a symbolic eager next form."""
     expanded = sym.next_form(timed, INTERP)
     assert sym.judge(DEEP_TERM_WORD, 1, expanded, INTERP) is verdict
     assert sym.judge(DEEP_TERM_WORD, 1, timed, INTERP) is verdict
+    assert monitor_verdict(sym.compile_formula(expanded, INTERP), DEEP_TERM_WORD) is verdict
 
 
 def test_relaxed_judge_has_no_recursion_cliff():
