@@ -27,6 +27,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def ratio(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails both comparisons
+        raise argparse.ArgumentTypeError(f"must be a ratio in [0, 1], got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="streamcheck",
@@ -54,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--json", dest="json_path", default=None, help="write reports as JSON")
     run.add_argument(
         "--inconclusive-warn",
-        type=float,
+        type=ratio,
         default=None,
         metavar="R",
         help="warn when the inconclusive ratio exceeds R",

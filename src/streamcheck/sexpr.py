@@ -11,7 +11,7 @@ Grammar (``;`` starts a line comment)::
               | (until term f f) | (release term f f)
               | (consume ?x ?o f)
     word     := (word (term INT)*)
-    scenario := (scenario (formula f) (word ...) (expect T|F|?))
+    scenario := (scenario (formula f) (word ...) (expect T|F|?))   ; each entry once
 
 Variables are written with a leading ``?``; bare symbols are nullary function
 applications; integers are natural-number literals.
@@ -50,6 +50,8 @@ _FORMS = {
 }
 _HEADS = {kind: head for head, (kind, _, _) in _FORMS.items()}
 _HEADS[symbolic.Consume] = "consume"
+# A runtime window is printed as the symbolic window with the same timeout.
+_HEADS.update({kind: kind.__name__.lower() for kind in runtime._TIMED})
 # The two constants are the runtime's verdict leaves; ``?`` has no syntax.
 _CONSTANTS = {"true": runtime.TOP, "false": runtime.BOTTOM}
 _CONSTANT_NAMES = {leaf.value: name for name, leaf in _CONSTANTS.items()}
@@ -152,9 +154,13 @@ def scenario_from_node(node: Node) -> Tuple[SymFormula, List[Tuple[Term, int]], 
     if not isinstance(node, list) or not node or node[0] != "scenario":
         raise SexprError("expected a (scenario ...) form")
     formula = word = expect = None
+    seen = set()
     for item in node[1:]:
         if not isinstance(item, list) or not item:
             raise SexprError(f"bad scenario entry {item!r}")
+        if item[0] in seen:
+            raise SexprError(f"repeated scenario entry {item[0]!r}")
+        seen.add(item[0])
         if item[0] == "formula":
             _arity(item, 1)
             formula = formula_from_node(item[1])
@@ -220,6 +226,8 @@ def _format_node(phi: SymFormula, kids: List[Any]) -> Any:
     words = [head, *map(format_term, symbolic.node_terms(phi))]
     if kind is symbolic.Consume:
         words += [f"?{phi.var}", f"?{phi.time_var}"]
+    elif kind in runtime._TIMED:
+        words.append(str(phi.timeout))
     return ("(" + " ".join(words), *(part for kid in kids for part in (" ", kid)), ")")
 
 

@@ -168,16 +168,17 @@ def release(timeout: TermLike, left: SymFormula, right: SymFormula) -> Release:
 
 _TIMED = (Eventually, Always, Until, Release)
 
-# Subformulas of each node, for :func:`runtime.fold`.
+# Subformulas of each node, for :func:`runtime.fold`; runtime windows included.
 CHILDREN = {
     **dict.fromkeys((Solved, Pred, Eq), runtime.no_children),
     **dict.fromkeys((Not, Next, Consume, Eventually, Always), runtime.body_child),
     **dict.fromkeys((And, Or, Implies, Until, Release), runtime.pair_children),
+    **{kind: runtime.CHILDREN[kind] for kind in runtime._TIMED},
 }
 
 
 def node_terms(phi: SymFormula) -> Tuple[Term, ...]:
-    """The terms a node holds itself: predicate arguments, equality sides or a timeout."""
+    """The terms a node holds itself: predicate arguments, equality sides or a symbolic timeout."""
     if isinstance(phi, Pred):
         return phi.args
     if isinstance(phi, Eq):
@@ -245,39 +246,40 @@ def substitute_term(term: Term, bindings: Mapping[str, Term]) -> Term:
 
 
 def substitute(phi: SymFormula, bindings: Mapping[str, Term]) -> SymFormula:
-    """Replace free occurrences of each bound name by its closed term, in one walk.
+    """Replace free occurrences of each bound name by its closed term, in one fold.
 
-    A node is rebuilt from its :func:`node_terms`, timeouts included, and its
-    :data:`CHILDREN`, in field order, when one of them changed; otherwise it
-    is returned itself.  A predicate keeps its name.  A consume rebinding a
-    name shields its body from that name's replacement.  A firing consume
-    binds ``{time_var: Lit(time), var: letter}``: when both binders share a
-    name, the letter wins.
+    A node is rebuilt from its :func:`node_terms` and its subformulas, in
+    field order, when one of them changed; otherwise it is returned itself.
+    A predicate keeps its name and a runtime window its integer timeout.  A
+    consume rebinding a bound name is walked with the remaining bindings, or
+    returned itself when none remain.  A firing consume binds ``{time_var:
+    Lit(time), var: letter}``: when both binders share a name, the letter wins.
     """
-    kind = type(phi)
-    if kind is Consume:
-        if phi.var in bindings or phi.time_var in bindings:
-            bindings = {
-                name: term
-                for name, term in bindings.items()
-                if name != phi.var and name != phi.time_var
-            }
-            if not bindings:
-                return phi
-        body = substitute(phi.body, bindings)
-        return phi if body is phi.body else Consume(phi.var, phi.time_var, body)
-    children = CHILDREN.get(kind)
-    if children is None:
-        raise SymbolicError(f"unknown formula {phi!r}")
-    terms = node_terms(phi)
-    new_terms = [substitute_term(term, bindings) for term in terms]
-    if kind is Pred:
-        return Pred(phi.name, tuple(new_terms)) if any(map(is_not, new_terms, terms)) else phi
-    kids = children(phi)
-    new_kids = [substitute(sub, bindings) for sub in kids]
-    if any(map(is_not, new_kids, kids)) or any(map(is_not, new_terms, terms)):
-        return kind(*new_terms, *new_kids)
-    return phi
+
+    def unshielded(node: Consume) -> Tuple[SymFormula, ...]:
+        return () if node.var in bindings or node.time_var in bindings else (node.body,)
+
+    def visit(node: Any, kids: Sequence[SymFormula]) -> SymFormula:
+        kind = type(node)
+        if kind is Consume:
+            if kids:
+                return node if kids[0] is node.body else Consume(node.var, node.time_var, kids[0])
+            rest = {k: v for k, v in bindings.items() if k != node.var and k != node.time_var}
+            return substitute(node, rest) if rest else node
+        children = CHILDREN.get(kind)
+        if children is None:
+            raise SymbolicError(f"unknown formula {node!r}")
+        terms = node_terms(node)
+        new_terms = [substitute_term(term, bindings) for term in terms]
+        if kind is Pred:
+            return Pred(node.name, tuple(new_terms)) if any(map(is_not, new_terms, terms)) else node
+        if any(map(is_not, new_terms, terms)) or kids and any(map(is_not, kids, children(node))):
+            return kind(node.timeout, *kids) if kind in runtime._TIMED else kind(*new_terms, *kids)
+        return node
+
+    table = CHILDREN.copy()
+    table[Consume] = unshielded
+    return runtime.fold(phi, table, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -407,12 +409,8 @@ def judge(
 # Walks that lower each window once: safe word length, next form, compilation
 
 
-# The symbolic nodes, and the runtime windows that symbolic windows lower to.
-_WALK = {**CHILDREN, **{kind: runtime.CHILDREN[kind] for kind in runtime._TIMED}}
-
-
-def _lowering(table: Mapping, interp: Interpretation, error: Any = None, reason: str = "") -> dict:
-    """``table`` where a symbolic window's child is its :func:`_lower_window`:
+def _lowering(interp: Interpretation, error: Any = None, reason: str = "") -> dict:
+    """:data:`CHILDREN` where a symbolic window's child is its :func:`_lower_window`:
     the runtime window over its symbolic operands, or a zero window's leaf.
     Its timeout is evaluated there, once; with ``error``, a timeout with
     variables raises it first."""
@@ -422,14 +420,14 @@ def _lowering(table: Mapping, interp: Interpretation, error: Any = None, reason:
             raise error(f"{reason}: variables in timeout {node.timeout!r}")
         return (_lower_window(node, interp, False),)
 
-    table = dict(table)
+    table = CHILDREN.copy()
     table[Eventually] = table[Always] = table[Until] = table[Release] = lower
     return table
 
 
 def _safe_length_node(node: SymFormula, kids: Sequence[int]) -> int:
     kind = type(node)
-    if kind not in _WALK:
+    if kind not in CHILDREN:
         raise SymbolicError(f"unknown formula {node!r}")
     length = max(kids, default=0)
     if kind is Next or kind is Consume:
@@ -439,7 +437,7 @@ def _safe_length_node(node: SymFormula, kids: Sequence[int]) -> int:
 
 def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
     """Safe word length; undefined when a timeout term contains variables."""
-    table = _lowering(_WALK, interp, runtime.SafeLengthUndefined, "safe word length undefined")
+    table = _lowering(interp, runtime.SafeLengthUndefined, "safe word length undefined")
     return runtime.fold(phi, table, _safe_length_node)
 
 
@@ -468,7 +466,7 @@ def _next_form_node(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
 
 def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
     """Expand timed operators away; timeouts must be variable-free."""
-    table = _lowering(_WALK, interp, OpenFormula, "cannot expand ahead of time")
+    table = _lowering(interp, OpenFormula, "cannot expand ahead of time")
     return runtime.fold(phi, table, _next_form_node)
 
 
@@ -511,4 +509,6 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
             )
         raise SymbolicError(f"unknown formula {node!r}")
 
-    return runtime.fold(phi, _lowering(runtime.CHILDREN, interp), visit)
+    table = _lowering(interp)
+    table[Consume] = runtime.no_children  # its body is compiled when it fires
+    return runtime.fold(phi, table, visit)

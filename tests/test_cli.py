@@ -147,6 +147,14 @@ def test_run_rejects_non_positive_numbers(flag, value, capsys):
     assert f"argument {flag}: must be a positive integer, got {value}" in captured.err
 
 
+@pytest.mark.parametrize("value", ["-1", "-0.1", "1.5", "nan", "inf"])
+def test_run_rejects_an_inconclusive_warn_outside_the_unit_interval(value, capsys):
+    assert main(["run", "banning-stateful", "--inconclusive-warn", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument --inconclusive-warn: must be a ratio in [0, 1], got {value}" in captured.err
+
+
 ILL_FORMED_SCENARIOS = {
     "negative_literal": (
         "(scenario (formula (eventually -1 (consume ?x ?o (= ?x a)))) (word (a 0)) (expect F))",
@@ -178,6 +186,10 @@ ILL_FORMED_SCENARIOS = {
     ),
     "unknown_expected_verdict": (
         "(scenario (formula true) (word (a 0)) (expect X))",
+        "cannot parse",
+    ),
+    "repeated_entries": (
+        "(scenario (formula true) (formula false) (word (a 0)) (word) (expect T) (expect F))",
         "cannot parse",
     ),
 }

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from streamcheck import runtime as rt
-from streamcheck import semantics, symbolic as sym, truth, wordgen
+from streamcheck import semantics, sexpr, symbolic as sym, truth, wordgen
 
 from corpus import (
     INTERP,
@@ -312,6 +312,29 @@ def test_a_runtime_window_over_symbolic_operands(kind, arity):
             assert verdict is sym.judge(word, 1, expanded, INTERP)
             assert verdict is monitor_verdict(compiled, word)
             assert verdict.is_decided() or n < length
+
+
+@pytest.mark.parametrize("kind, arity", [("Eventually", 1), ("Always", 1), ("Until", 2), ("Release", 2)])
+def test_a_runtime_window_under_a_consume(kind, arity):
+    """Every walker over symbolic formulas reads a runtime window from the
+    one node table, so firing the consume substitutes through it."""
+    window = getattr(rt, kind)(2, *[sym.eq(sym.Var("x"), "a")] * arity)
+    phi = sym.Consume("x", "o", window)
+    compiled = sym.compile_formula(phi, INTERP)
+    for letters in ("a", "b", "ab", "ba"):
+        word = [(sym.App(letter), time) for time, letter in enumerate(letters)]
+        verdict = sym.judge(word, 1, phi, INTERP)
+        assert verdict.is_decided()
+        assert monitor_verdict(compiled, word) is verdict
+    assert sym.free_vars(phi) == set()
+    assert "a" in sym.constants(phi)
+    bound = sym.substitute(window, {"x": sym.App("b"), "o": sym.Lit(0)})
+    assert type(bound) is type(window) and bound.timeout == 2
+    assert sym.free_vars(bound) == set()
+    head = kind.lower()
+    assert sexpr.format_formula(phi) == f"(consume ?x ?o ({head} 2{' (= ?x a)' * arity}))"
+    with pytest.raises(wordgen.GeneratorFragmentError, match="not in next form"):
+        wordgen.generate_word(phi, INTERP, random.Random(0))
 
 
 def test_timeless_formulas_are_position_independent():

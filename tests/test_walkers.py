@@ -723,8 +723,10 @@ DEEP_TERM_WORD = [(sym.App(letter), time) for letter, time in DEEP_WORD]
         (sym.always(DEEP, SYM_P), truth.FALSE),
         (sym.until(DEEP, SYM_P, SYM_Q), truth.TRUE),
         (sym.release(DEEP, SYM_P, SYM_Q), truth.FALSE),
+        # Firing the consume substitutes into its eager next form.
+        (sym.Consume("x", "o", sym.always(DEEP, sym.eq(sym.Var("x"), "b"))), truth.TRUE),
     ],
-    ids=["eventually", "always", "until", "release"],
+    ids=["eventually", "always", "until", "release", "consume"],
 )
 def test_symbolic_judge_has_no_recursion_cliff(timed, verdict):
     """The symbolic judgment and the compiled monitor, on a symbolic eager next form."""
@@ -740,6 +742,9 @@ def test_relaxed_judge_has_no_recursion_cliff():
     assert wordgen.relaxed_judge(expanded, batches, INTERP) is truth.TRUE
     assert wordgen.relaxed_judge(expanded, batches[1:], INTERP) is truth.INCONCLUSIVE
     assert wordgen.relaxed_judge(expanded, batches[1:] + [frozenset({"b"})], INTERP) is truth.FALSE
+    consume = sym.next_form(sym.Consume("x", "o", sym.always(DEEP, sym.eq(sym.Var("x"), "a"))), INTERP)
+    assert wordgen.relaxed_judge(consume, batches, INTERP) is truth.TRUE
+    assert wordgen.relaxed_judge(consume, [frozenset({"b"})], INTERP) is truth.FALSE
 
 
 def same_tree(a, b):
