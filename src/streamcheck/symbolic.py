@@ -456,7 +456,7 @@ def _next_form_node(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
     if kind in _TIMED:
         return kids[0]  # the next form of its lowered window
     if kind in runtime._TIMED:
-        return runtime.next_form_chain(kind.__name__, node.timeout, kids, _ALGEBRA)
+        return runtime.next_form_chain(kind, node.timeout, kids, _ALGEBRA)
     if kind is Consume:
         return Consume(node.var, node.time_var, kids[0])
     if kind not in CHILDREN:

@@ -2,10 +2,10 @@
 
 The generator tries to build a word that makes the formula true.  Each
 position of the generated word is a finite set (a batch) of domain elements;
-conjunction merges the words of both operands positionwise, disjunction picks
+conjunction generates both operands from the same position, disjunction picks
 a branch at random and backtracks if it fails, implication generates from the
 conclusion only, and a consume picks a witness from the interpretation's
-declared constant pool.
+declared constant pool.  The word is built once, from the records kept.
 
 The negation operator and the false and inconclusive verdict leaves are
 outside the generatable fragment, as is any consume whose time variable occurs
@@ -27,7 +27,7 @@ class GeneratorFragmentError(Exception):
 
 
 class _ErrWord:
-    """Erroneous sequence: absorbing failure result of generation."""
+    """Erroneous sequence: the result of a generation that failed."""
 
     _instance: "_ErrWord" = None  # type: ignore[assignment]
 
@@ -44,21 +44,9 @@ GEN_ERR = _ErrWord()
 
 Batches = List[FrozenSet[object]]
 GenResult = Union[Batches, _ErrWord]
-
-
-def word_union(u: GenResult, v: GenResult) -> GenResult:
-    """Positionwise union; the longer suffix is kept; err absorbs."""
-    if u is GEN_ERR or v is GEN_ERR:
-        return GEN_ERR
-    merged = [a | b for a, b in zip(u, v)]
-    longer = u if len(u) >= len(v) else v
-    return merged + list(longer[len(merged):])
-
-
-def _prepend(batch: FrozenSet[object], u: GenResult) -> GenResult:
-    if u is GEN_ERR:
-        return GEN_ERR
-    return [batch] + u
+# A position the word reaches, with no element at a ``next`` and with the
+# witness at a consume whose body was generated.
+_Kept = List[Tuple[int, Tuple[object, ...]]]
 
 
 def _kind(phi: SymFormula) -> object:
@@ -107,41 +95,52 @@ def generate_word(
     if bad is not None:
         template = _NOT_GENERATABLE.get(_kind(bad), "formula is not in next form: {phi!r}")
         raise GeneratorFragmentError(template.format(phi=bad))
-    return _generate(phi, interp, rng)
+    kept: _Kept = []
+    if not _fill(phi, 0, kept, interp, rng):
+        return GEN_ERR
+    word = [set() for _ in range(max((pos for pos, _ in kept), default=-1) + 1)]
+    for pos, elements in kept:
+        word[pos].update(elements)
+    return [frozenset(batch) for batch in word]
 
 
-def _generate(phi: SymFormula, interp: Interpretation, rng: random.Random) -> GenResult:
+def _fill(phi: SymFormula, pos: int, kept: _Kept, interp: Interpretation, rng: random.Random) -> bool:
+    """Generate ``phi`` from ``pos`` on into ``kept``, and say whether it was generated.
+
+    The records of a choice that failed are cut before the next one is tried.
+    """
     if type(phi) is runtime.Solved:
-        return []  # only a ``true`` leaf passes the fragment check
+        return True  # only a ``true`` leaf passes the fragment check
     if isinstance(phi, (symbolic.Pred, symbolic.Eq)):
-        return [] if symbolic._holds(phi, interp, relaxed=False) else GEN_ERR
+        return symbolic._holds(phi, interp, relaxed=False)
+    mark = len(kept)
     if isinstance(phi, symbolic.Or):
         branches = [phi.left, phi.right]
         rng.shuffle(branches)
         for branch in branches:
-            result = _generate(branch, interp, rng)
-            if result is not GEN_ERR:
-                return result
-        return GEN_ERR
+            if _fill(branch, pos, kept, interp, rng):
+                return True
+            del kept[mark:]
+        return False
     if isinstance(phi, symbolic.And):
-        return word_union(
-            _generate(phi.left, interp, rng), _generate(phi.right, interp, rng)
-        )
+        left = _fill(phi.left, pos, kept, interp, rng)  # the right draws even if this failed
+        return _fill(phi.right, pos, kept, interp, rng) and left
     if isinstance(phi, symbolic.Implies):
-        return _generate(phi.right, interp, rng)
+        return _fill(phi.right, pos, kept, interp, rng)
     if isinstance(phi, symbolic.Next):
-        return _prepend(frozenset(), _generate(phi.body, interp, rng))
+        kept.append((pos, ()))
+        return _fill(phi.body, pos + 1, kept, interp, rng)
     if isinstance(phi, symbolic.Consume):
         pool = list(interp.constants)
         rng.shuffle(pool)
         for name in pool:
             witness = App(name)
-            rest = _generate(symbolic.substitute(phi.body, {phi.var: witness}), interp, rng)
-            if rest is not GEN_ERR:
-                element = symbolic.eval_term(witness, interp)
-                return _prepend(frozenset({element}), rest)
-        return GEN_ERR
-    return GEN_ERR
+            body = symbolic.substitute(phi.body, {phi.var: witness})
+            if _fill(body, pos + 1, kept, interp, rng):
+                kept.append((pos, (symbolic.eval_term(witness, interp),)))
+                return True
+            del kept[mark:]
+    return False
 
 
 def as_batch_word(batches: Sequence[FrozenSet[object]]):

@@ -792,7 +792,7 @@ def _reference_unfold(phi):
         return right
     left = _reference_unfold(operands[0]) if len(operands) == 2 else right
     later = rt.mk_next(kind(phi.timeout - 1, *operands))
-    return rt._expand(kind.__name__, left, right, later, rt.mk_or, rt.mk_and)
+    return rt._expand(kind, left, right, later, rt.mk_or, rt.mk_and)
 
 
 def _reference_step(phi, letter):

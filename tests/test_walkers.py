@@ -25,6 +25,7 @@ from streamcheck.runtime import (
 )
 
 from corpus import (
+    ALPHABET,
     INTERP,
     consume_eq,
     letter_is,
@@ -430,6 +431,58 @@ class _Recursive:
         fragment(phi)
 
     @staticmethod
+    def word_union(u, v):
+        """Positionwise union; the longer suffix is kept; err absorbs."""
+        if u is wordgen.GEN_ERR or v is wordgen.GEN_ERR:
+            return wordgen.GEN_ERR
+        merged = [a | b for a, b in zip(u, v)]
+        longer = u if len(u) >= len(v) else v
+        return merged + list(longer[len(merged):])
+
+    @staticmethod
+    def prepend(batch, u):
+        if u is wordgen.GEN_ERR:
+            return wordgen.GEN_ERR
+        return [batch] + u
+
+    @staticmethod
+    def generate(phi, interp, rng):
+        """``generate_word`` after its checks, each node returning a word of
+        its own: the reference words, draws and interpreted calls."""
+        generate, GEN_ERR = _Recursive.generate, wordgen.GEN_ERR
+        if type(phi) is rt.Solved:
+            return []
+        if isinstance(phi, (sym.Pred, sym.Eq)):
+            return [] if sym._holds(phi, interp, relaxed=False) else GEN_ERR
+        if isinstance(phi, sym.Or):
+            branches = [phi.left, phi.right]
+            rng.shuffle(branches)
+            for branch in branches:
+                result = generate(branch, interp, rng)
+                if result is not GEN_ERR:
+                    return result
+            return GEN_ERR
+        if isinstance(phi, sym.And):
+            return _Recursive.word_union(
+                generate(phi.left, interp, rng), generate(phi.right, interp, rng)
+            )
+        if isinstance(phi, sym.Implies):
+            return generate(phi.right, interp, rng)
+        if isinstance(phi, sym.Next):
+            return _Recursive.prepend(frozenset(), generate(phi.body, interp, rng))
+        if isinstance(phi, sym.Consume):
+            pool = list(interp.constants)
+            rng.shuffle(pool)
+            for name in pool:
+                witness = sym.App(name)
+                rest = generate(sym.substitute(phi.body, {phi.var: witness}), interp, rng)
+                if rest is not GEN_ERR:
+                    element = sym.eval_term(witness, interp)
+                    return _Recursive.prepend(frozenset({element}), rest)
+            return GEN_ERR
+        return GEN_ERR
+
+    @staticmethod
     def interpretation_symbols(phi, word):
         """``cli.default_interpretation``'s symbol collection."""
         symbols = set()
@@ -560,7 +613,7 @@ ODD_SYMBOLIC = [
 
 def recursive_generate_word(phi):
     _Recursive.check_generatable(phi)
-    return wordgen._generate(phi, INTERP, random.Random(0))
+    return _Recursive.generate(phi, INTERP, random.Random(0))
 
 
 @pytest.mark.parametrize(
@@ -609,6 +662,50 @@ def recording(interp, log):
         {name: logged(name, fn) for name, fn in interp.predicates.items()},
         interp.constants,
     )
+
+
+def random_choice_formula(rng, depth, scope=()):
+    """``and`` / ``or`` / ``implies`` / ``next`` / ``consume`` over atoms
+    that can fail, so generation backtracks and often ends in ``GEN_ERR``."""
+    if depth <= 0 or rng.random() < 0.15:
+        left = sym.Var(rng.choice(scope)) if scope and rng.random() < 0.7 else rng.choice(ALPHABET)
+        right = rng.choice(ALPHABET)
+        return sym.pred("leq", left, right) if rng.random() < 0.2 else sym.eq(left, right)
+    kind = rng.randrange(5)
+    if kind == 4:
+        var = f"x{len(scope)}"
+        return sym.Consume(var, "o", random_choice_formula(rng, depth - 1, (*scope, var)))
+    if kind == 3:
+        return sym.Next(random_choice_formula(rng, depth - 1, scope))
+    op = (sym.And, sym.Or, sym.Implies)[kind]
+    return op(*(random_choice_formula(rng, depth - 1, scope) for _ in "lr"))
+
+
+def generation_outcome(generate, phi, seed):
+    """The word (or ``GEN_ERR``) generated at ``seed``, the generator's next
+    draw after it, and the interpreted calls made, in order."""
+    log, rng = [], random.Random(seed)
+    return generate(phi, recording(INTERP, log), rng), rng.random(), log
+
+
+@pytest.mark.parametrize("corpus", ["generatable", "failing"])
+def test_generation_agrees_with_recursion_draw_for_draw(corpus):
+    """The old generator's word or ``GEN_ERR``, next draw and interpreted calls,
+    on formulas that always generate and on formulas that often cannot."""
+    failed = 0
+    for seed in SEEDS:
+        rng = random.Random(seed)
+        if corpus == "generatable":
+            phi = sym.next_form(random_generatable_formula(rng, depth=4), INTERP)
+        else:
+            phi = random_choice_formula(rng, depth=7)
+        new = generation_outcome(wordgen.generate_word, phi, seed)
+        assert new == generation_outcome(_Recursive.generate, phi, seed)
+        failed += new[0] is wordgen.GEN_ERR
+    if corpus == "failing":
+        assert len(SEEDS) / 5 <= failed <= len(SEEDS) * 4 / 5
+    else:
+        assert failed == 0
 
 
 def compiled_outcome(compile_formula, phi):

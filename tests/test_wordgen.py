@@ -5,29 +5,13 @@ import random
 import pytest
 
 from streamcheck import runtime as rt, symbolic as sym, truth, wordgen
-from streamcheck.wordgen import GEN_ERR, generate_word, relaxed_judge, word_union
+from streamcheck.wordgen import GEN_ERR, generate_word, relaxed_judge
 
 from corpus import INTERP, consume_eq, random_generatable_formula
 
 
 def next_form(phi):
     return sym.next_form(phi, INTERP)
-
-
-class TestWordUnion:
-    def test_positionwise_union_keeps_longer_suffix(self):
-        u = [frozenset({"a"})]
-        v = [frozenset({"b"}), frozenset({"c"})]
-        assert word_union(u, v) == [frozenset({"a", "b"}), frozenset({"c"})]
-        assert word_union(v, u) == [frozenset({"a", "b"}), frozenset({"c"})]
-
-    def test_identity_on_empty(self):
-        u = [frozenset({"a"})]
-        assert word_union(u, []) == u
-
-    def test_err_absorbs(self):
-        assert word_union([frozenset()], GEN_ERR) is GEN_ERR
-        assert word_union(GEN_ERR, []) is GEN_ERR
 
 
 class TestGenerateWord:
@@ -82,6 +66,11 @@ class TestGenerateWord:
         phi = sym.And(consume_eq("x", "o", "a"), consume_eq("y", "p", "b"))
         out = generate_word(phi, INTERP, random.Random(0))
         assert out == [frozenset({"a", "b"})]
+
+    def test_a_witness_whose_value_is_none_is_generated(self):
+        interp = sym.Interpretation({"n": lambda: None}, constants=("n",))
+        phi = sym.Next(consume_eq("x", "o", "n"))
+        assert generate_word(phi, interp, random.Random(0)) == [frozenset(), frozenset({None})]
 
     def test_negation_is_rejected(self):
         with pytest.raises(wordgen.GeneratorFragmentError):
