@@ -637,7 +637,10 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     A ``Consume`` node that occurs more than once fires once per letter: its
     result is kept in a table keyed by the node's identity, which lives only
     for this call.  Nodes are dispatched on their exact type, so a subclass
-    of a node type is foreign here, as it is to :func:`fold`.
+    of a node type is foreign here, as it is to :func:`fold`.  A
+    :class:`Monitor` step on a chain simplifies the chain's operands one at
+    a time through the same walker, with one table for the letter, and
+    builds only the chain it keeps.
     """
     if letter is None:
         return _LEAVES[_close(phi)]
@@ -721,7 +724,13 @@ def merge_obligations(phi: Formula) -> Formula:
     """
     kind = type(phi)
     if kind is And or kind is Or:
-        return _merge_chain(phi)
+        kept = _merge_operands(kind, (phi,))
+        if kept is None:
+            return phi
+        result = kept.pop()
+        while kept:
+            result = kind(kept.pop(), result)
+        return result
     if kind is Not:
         body = merge_obligations(phi.body)
         return phi if body is phi.body else mk_not(body)
@@ -733,48 +742,96 @@ def merge_obligations(phi: Formula) -> Formula:
     return phi
 
 
-def _merge_chain(phi: Formula) -> Formula:
-    """:func:`merge_obligations` on an ``And`` or ``Or`` chain, in one walk
-    down each left spine that stacks only the right operands."""
-    kind = type(phi)
+def _merge_operands(kind: type, operands: Sequence[Formula]) -> Optional[list]:
+    """The operands of the ``kind`` chain over ``operands``, with its timed
+    obligations merged and every other operand merged inside, or ``None``
+    when nothing merged.
+
+    An operand of ``kind`` joins the chain: each is walked down its left
+    spine, stacking only the right operands.  A merged obligation keeps the
+    slot of its first occurrence.
+    """
     keep_smaller = _KEEP_SMALLER[kind]
     slots: Dict[tuple, int] = {}
     kept: list = []
     changed = False
     rights: list = []
-    item = phi
+    for item in operands:
+        while True:
+            while type(item) is kind:
+                rights.append(item.right)
+                item = item.left
+            op = type(item)
+            if op in _TIMED:
+                if op is Eventually or op is Always:
+                    key: tuple = (op, id(item.body))
+                else:
+                    key = (op, id(item.left), id(item.right))
+                slot = slots.get(key)
+                if slot is None:
+                    slots[key] = len(kept)
+                    kept.append(item)
+                else:
+                    changed = True
+                    held = kept[slot].timeout
+                    if item.timeout < held if op in keep_smaller else item.timeout > held:
+                        kept[slot] = item
+            else:
+                merged = merge_obligations(item)
+                changed = changed or merged is not item
+                kept.append(merged)
+            if not rights:
+                break
+            item = rights.pop()
+    return kept if changed else None
+
+
+# ---------------------------------------------------------------------------
+# One monitor step
+
+_MAKE = {And: mk_and, Or: mk_or}
+
+
+def _step_chain(phi: Formula, value: Any, time: Timestamp) -> Formula:
+    """``unfold(merge_obligations(letter_simplify(phi, (value, time))))`` for
+    an ``And`` or ``Or`` chain ``phi`` whose right operand is a chain of its
+    kind, building the result chain once.
+
+    The operands down the right spine are simplified left to right with one
+    ``fired`` table, so consumers fire as in :func:`letter_simplify`, all
+    before anything is unfolded.  They are merged as the chain they form
+    would be, which an operand of the chain's kind joins, and the residual
+    is built over them unfolded: over the kept ones nested to the right if
+    obligations merged, as :func:`merge_obligations` nests them, else in the
+    chain's own shape.
+
+    The walk stops at an operand simplified to a verdict leaf, which drops
+    out, decides the chain, or as ``?`` folds into its neighbours by the
+    chain's shape.  The rest of the chain is then simplified in one call,
+    and the simplified chain is merged and unfolded.
+    """
+    kind = type(phi)
+    fired: Dict[int, Formula] = {}
+    results: list = []
+    operand = phi
     while True:
-        while type(item) is kind:
-            rights.append(item.right)
-            item = item.left
-        op = type(item)
-        if op in _TIMED:
-            if op is Eventually or op is Always:
-                key: tuple = (op, id(item.body))
-            else:
-                key = (op, id(item.left), id(item.right))
-            slot = slots.get(key)
-            if slot is None:
-                slots[key] = len(kept)
-                kept.append(item)
-            else:
-                changed = True
-                held = kept[slot].timeout
-                if item.timeout < held if op in keep_smaller else item.timeout > held:
-                    kept[slot] = item
-        else:
-            merged = merge_obligations(item)
-            changed = changed or merged is not item
-            kept.append(merged)
-        if not rights:
+        result = _simplify(operand.left, value, time, fired)
+        results.append(result)
+        operand = operand.right
+        if type(result) is Solved or type(operand) is not kind:
             break
-        item = rights.pop()
-    if not changed:
-        return phi
-    result = kept[-1]
-    for item in reversed(kept[:-1]):
-        result = kind(item, result)
-    return result
+    # The last operand, or the rest of the chain past a verdict leaf.
+    last = _simplify(operand, value, time, fired)
+    results.append(last)
+    fused = type(result) is not Solved and type(last) is not Solved
+    if fused:
+        kept = _merge_operands(kind, results)
+        results = list(map(unfold, results if kept is None else kept))
+    make = _MAKE[kind]
+    residual = results.pop()
+    while results:
+        residual = make(results.pop(), residual)
+    return residual if fused else unfold(merge_obligations(residual))
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +930,14 @@ class StepTrace:
 class Monitor:
     """Evaluates a formula one letter at a time.
 
+    A step rewrites the residual formula once: it simplifies the residual
+    against the letter (:func:`letter_simplify`), merges its timed
+    obligations (:func:`merge_obligations`) and unfolds the next layer
+    (:func:`unfold`).  On an ``And`` or ``Or`` chain with three or more
+    operands down its right spine, the shape the monitor builds, the three
+    passes are one walk over those operands that builds the chain once
+    (:func:`_step_chain`); the residual is the same.
+
     Once a verdict is reached the monitor is inert: stepping it again raises
     :class:`MonitorDecided` and the verdict never changes.  Each step keeps
     its residual until :attr:`trace` is read, so a run whose trace nobody
@@ -902,8 +967,12 @@ class Monitor:
     def step(self, letter: Any, time_ms: Timestamp) -> Optional[Verdict]:
         if self.verdict is not None:
             raise MonitorDecided("monitor already reached a verdict")
-        current = letter_simplify(self._current, (letter, time_ms))
-        current = unfold(merge_obligations(current))
+        current = self._current
+        kind = type(current)
+        if kind in _MAKE and type(current.right) is kind:
+            current = _step_chain(current, letter, time_ms)
+        else:
+            current = unfold(merge_obligations(_simplify(current, letter, time_ms, {})))
         self._current = current
         self.consumed += 1
         if type(current) is Solved:

@@ -544,23 +544,25 @@ class TestMergeObligations:
         atoms = And(Eventually(2, rt.now(bool, "p")), Eventually(5, rt.now(bool, "p")))
         assert rt.merge_obligations(atoms) is atoms
 
-    def test_monitor_agrees_with_reference_on_shared_atoms(self, monkeypatch):
-        merges = []
-        merge = rt.merge_obligations
-
-        def counting(phi):
-            out = merge(phi)
-            if out is not phi:
-                merges.append(phi)
-            return out
-
-        monkeypatch.setattr(rt, "merge_obligations", counting)
+    def test_monitor_agrees_with_reference_on_shared_atoms(self):
+        """A step merged when its residual is smaller than the test-local
+        step that simplifies and unfolds without merging.  The monitor step
+        merges its residual's top chain inline, so counting calls of
+        ``merge_obligations`` would see only nested chains."""
+        merges = 0
         rng = random.Random(2024)
         atoms = {letter: letter_is(letter) for letter in "abc"}
         for _ in range(400):
             phi = random_runtime_formula(rng, depth=4, max_timeout=6, atoms=atoms)
             word = random_word(rng, max_len=24)
-            assert monitor_verdict(phi, word) is semantics.models(word, phi)
+            monitor = rt.Monitor(phi)
+            for letter, time in word:
+                if monitor.verdict is not None:
+                    break
+                unmerged = _reference_unfold(_reference_simplify(monitor._current, (letter, time)))
+                monitor.step(letter, time)
+                merges += rt.size(monitor._current) < rt.size(unmerged)
+            assert monitor.finish() is semantics.models(word, phi)
         assert merges
 
 
@@ -736,17 +738,21 @@ def _reference_merge(phi):
     return phi
 
 
-def _reference_merge_chain(phi):
-    kind = type(phi)
-    items, stack = [], [phi]
+def _reference_items(chain):
+    kind, items, stack = type(chain), [], [chain]
     while stack:
         node = stack.pop()
         if type(node) is kind:
             stack += (node.right, node.left)
         else:
             items.append(node)
+    return items
+
+
+def _reference_merge_chain(phi):
+    kind = type(phi)
     slots, kept, changed = {}, [], False
-    for item in items:
+    for item in _reference_items(phi):
         op = type(item)
         if op in (Eventually, rt.Always):
             key = (op, id(item.body))
@@ -786,6 +792,8 @@ def _reference_unfold(phi):
     if isinstance(phi, Implies):
         return rt.mk_implies(_reference_unfold(phi.left), _reference_unfold(phi.right))
     kind = type(phi)
+    if kind not in rt.CHILDREN:
+        raise rt.FormulaError(f"cannot unfold {phi!r}")
     operands = rt.CHILDREN[kind](phi)
     right = _reference_unfold(operands[-1])
     if phi.timeout == 1:
@@ -877,6 +885,199 @@ def test_step_equals_the_three_pass_reference_on_corpus():
                 strict += static
             assert monitor.finish() is rt.letter_simplify(residual, None).value
     assert steps > 1000 and strict > 600
+
+
+def _shaped(rng, kind, operands):
+    """A ``kind`` chain over ``operands`` in order, split at random points,
+    so it nests to the left, to the right, or both."""
+    if len(operands) == 1:
+        return operands[0]
+    cut = rng.randint(1, len(operands) - 1)
+    return kind(_shaped(rng, kind, operands[:cut]), _shaped(rng, kind, operands[cut:]))
+
+
+def _one_walk_branches(phi, letter):
+    """What the monitor step meets on ``phi`` and ``letter``, found with the
+    test-local reference passes: whether the one-walk step takes the chain,
+    what its walk down the right spine meets, and how the operands merge."""
+    kind = type(phi)
+    if kind not in (And, Or) or type(phi.right) is not kind:
+        return {"three passes"}
+    neutral = truth.TRUE if kind is And else truth.FALSE
+    tags, results, operand = set(), [], phi
+    while True:
+        last = type(operand) is not kind
+        part = operand if last else operand.left
+        if type(part) is kind:
+            tags.add("a left operand is a chain")
+        result = _reference_simplify(part, letter)
+        if type(result) is Solved:
+            if result.value is neutral:
+                return tags | {"stops at a verdict leaf", "neutral leaf"}
+            if result.value is truth.neg(neutral):
+                return tags | {"stops at a verdict leaf", "absorbing leaf"}
+            return tags | {"stops at a verdict leaf", "? from a consumer" if type(part) is Consume else "? leaf"}
+        results.append(result)
+        if last:
+            break
+        operand = operand.right
+    if any(type(result) is kind for result in results):
+        tags.add("joins the chain")
+    chain = results[-1]
+    for result in reversed(results[:-1]):
+        chain = kind(result, chain)
+    if _reference_merge_chain(chain) is chain:
+        return tags | {"nothing merged"}
+    items = [item for item in _reference_items(chain) if type(item) in (Until, Release)]
+    keys = [(type(item), id(item.left), id(item.right)) for item in items]
+    return tags | {"merged", *(["merged until/release"] if len(set(keys)) < len(keys) else [])}
+
+
+def test_one_walk_step_on_shaped_chains():
+    """The one-walk step equals the test-local three-pass step on chains of
+    every shape, including the branches the bundled formulas rarely reach:
+    left-nested and mixed chains, ``?`` leaves and consumers that return
+    ``?``, operands that simplify into the chain's own kind, absorbing
+    leaves, and timed operators over the same operands."""
+    a, b = letter_is("a"), letter_is("b")
+    unsure = rt.now(lambda letter: truth.INCONCLUSIVE if letter == "c" else letter == "a", "?")
+
+    def operand(rng, kind):
+        other = Or if kind is And else And
+        t = rng.randint(1, 4)
+        leaves = [
+            lambda: a,
+            lambda: unsure,
+            lambda: Not(a),
+            lambda: Implies(a, Next(b)),
+            lambda: Next(rng.choice([rt.TOP, rt.BOTTOM, rt.UNDECIDED])),
+        ]
+        others = [
+            lambda: Next(kind(a, Next(b))),
+            lambda: Next(other(Next(Eventually(t, b)), Next(Eventually(t + 1, b)))),
+            lambda: Next(Eventually(t, a)),
+            lambda: Next(rt.Always(t, a)),
+            lambda: Next(Until(t, a, b)),
+            lambda: Next(Release(t, a, b)),
+        ]
+        return rng.choice(leaves if rng.random() < 0.25 else others)()
+
+    reached = collections.Counter()
+    for seed in range(600):
+        rng = random.Random(seed)
+        kind = rng.choice((And, Or))
+        phi = _shaped(rng, kind, [operand(rng, kind) for _ in range(rng.randint(2, 7))])
+        word = random_word(rng, max_len=6)
+        monitor, reference = rt.Monitor(phi), ReferenceMonitor(phi)
+        _assert_same_residual(monitor._current, reference._current, True)
+        for letter, time in word:
+            if monitor.verdict is not None:
+                break
+            reached.update(_one_walk_branches(monitor._current, (letter, time)))
+            assert monitor.step(letter, time) is reference.step(letter, time)
+            _assert_same_residual(monitor._current, reference._current, True)
+        assert monitor.finish() is reference.finish()
+    branches = {
+        "three passes",
+        "a left operand is a chain",
+        "stops at a verdict leaf",
+        "neutral leaf",
+        "absorbing leaf",
+        "? leaf",
+        "? from a consumer",
+        "joins the chain",
+        "nothing merged",
+        "merged",
+        "merged until/release",
+    }
+    assert branches <= set(reached), branches - set(reached)
+
+
+def test_one_walk_step_fires_and_raises_as_the_reference():
+    """Per letter, consumers first fire in the reference's order, and a
+    step raises the reference's first exception.  A consumer that raises
+    after a sibling returned a non-formula raises before the non-formula
+    fails to unfold."""
+    log = []
+
+    def atom(label, answer):
+        def consumer(letter, _time):
+            log.append(label)
+            return answer(letter)
+
+        return Consume(consumer, 1, label)
+
+    def boom(letter):
+        if letter == "c":
+            raise ValueError("boom on c")
+        return rt.TOP
+
+    atoms = [
+        atom("a", lambda letter: rt.TOP if letter == "a" else rt.BOTTOM),
+        atom("not b", lambda letter: rt.BOTTOM if letter == "b" else rt.TOP),
+        atom("odd", lambda letter: 5 if letter == "b" else rt.TOP),
+        atom("boom", boom),
+    ]
+
+    def run(monitor_type, phi, word):
+        monitor, fired = monitor_type(phi), []
+        try:
+            for letter, time in word:
+                if monitor.verdict is not None:
+                    break
+                log.clear()
+                try:
+                    monitor.step(letter, time)
+                finally:
+                    fired.append(list(dict.fromkeys(log)))
+        except Exception as exc:  # noqa: BLE001 - the exception is the outcome
+            return fired, type(exc), str(exc)
+        return fired, None, monitor.finish()
+
+    outcomes = collections.Counter()
+    for seed in range(300):
+        rng = random.Random(seed)
+        kind = rng.choice((And, Or))
+        operands = [rng.choice(atoms + [Next(rng.choice(atoms))]) for _ in range(rng.randint(3, 6))]
+        phi = _shaped(rng, kind, operands)
+        word = random_word(rng, max_len=5)
+        expected = run(ReferenceMonitor, phi, word)
+        assert run(rt.Monitor, phi, word) == expected
+        fired, error, _ = expected
+        if error is ValueError and "odd" in fired[-1][: fired[-1].index("boom")]:
+            outcomes["raises after a non-formula"] += 1
+        elif error is rt.FormulaError:
+            outcomes["a non-formula fails to unfold"] += 1
+    assert outcomes["raises after a non-formula"] and outcomes["a non-formula fails to unfold"]
+
+
+def test_a_predicate_that_raises_in_the_walk_fails_the_same_step(monkeypatch):
+    """``G[3] F[3] p`` on letters where ``p`` is false reaches a chain of three
+    operands at step 2, which the one-walk step takes; ``p`` raising there
+    is reported at step 2, as by the reference."""
+
+    def false_then_fails(letter):
+        return 1 / (letter.time - 100) > 0
+
+    formula = rt.Always(3, Eventually(3, rt.now(bool, "p")))
+    monitor = rt.Monitor(formula)
+    monitor.step(False, 0)
+    chain = monitor._current
+    assert type(chain) is And and type(chain.left) is Or and type(chain.right) is And
+    messages = []
+    for monitor_type in (ReferenceMonitor, rt.Monitor):
+        p = rt.now(false_then_fails, "p")
+        monkeypatch.setattr(harness, "Monitor", monitor_type)
+        with pytest.raises(harness.PredicateError) as caught:
+            harness.run_test_case(
+                [[1], [2], [3]],
+                harness.map_elements(str),
+                rt.Always(3, Eventually(3, p)),
+                harness.HarnessConfig(batch_interval_ms=100),
+            )
+        messages.append(str(caught.value))
+    assert messages[0] == messages[1]
+    assert messages[1].startswith("predicate failed at step 2: ZeroDivisionError")
 
 
 def test_a_shared_atom_fires_once_per_letter():
