@@ -2,8 +2,8 @@
 
 Exit codes: 0 when every executed example's outcome matches its expected
 outcome, 1 on a mismatch (including a reference judgment that disagrees with
-the stepwise monitor), 2 on usage errors and on scenario files that cannot be
-read, parsed or evaluated.
+the stepwise monitor), 2 on usage errors, on scenario files that cannot be
+read, parsed or evaluated, and on a ``--json`` path that cannot be written.
 """
 
 from __future__ import annotations
@@ -135,9 +135,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         )
 
     if args.json_path:
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(documents, handle, sort_keys=True, separators=(",", ":"))
-            handle.write("\n")
+        try:
+            with open(args.json_path, "w", encoding="utf-8") as handle:
+                json.dump(documents, handle, sort_keys=True, separators=(",", ":"))
+                handle.write("\n")
+        except OSError as exc:
+            print(f"cannot write {args.json_path}: {exc}", file=sys.stderr)
+            return 2
     return 0 if all_match else 1
 
 

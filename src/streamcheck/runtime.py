@@ -639,8 +639,10 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     for this call.  Nodes are dispatched on their exact type, so a subclass
     of a node type is foreign here, as it is to :func:`fold`.  A
     :class:`Monitor` step on a chain simplifies the chain's operands one at
-    a time through the same walker, with one table for the letter, and
-    builds only the chain it keeps.
+    a time with one table for the letter: an unfolded obligation's atom is
+    fired in place, every other operand goes through the same walker, and
+    an operand that simplifies to the chain's neutral leaf drops out.  The
+    step builds only the chain it keeps.
     """
     if letter is None:
         return _LEAVES[_close(phi)]
@@ -724,13 +726,13 @@ def merge_obligations(phi: Formula) -> Formula:
     """
     kind = type(phi)
     if kind is And or kind is Or:
-        kept = _merge_operands(kind, (phi,))
-        if kept is None:
-            return phi
-        result = kept.pop()
-        while kept:
-            result = kind(kept.pop(), result)
-        return result
+        spine, node = [], phi
+        while type(node) is kind:
+            spine.append(node.left)
+            node = node.right
+        spine.append(node)
+        kept = _merge_operands(kind, spine)
+        return phi if kept is None else _nest(kind, kept)
     if kind is Not:
         body = merge_obligations(phi.body)
         return phi if body is phi.body else mk_not(body)
@@ -742,96 +744,141 @@ def merge_obligations(phi: Formula) -> Formula:
     return phi
 
 
-def _merge_operands(kind: type, operands: Sequence[Formula]) -> Optional[list]:
-    """The operands of the ``kind`` chain over ``operands``, with its timed
-    obligations merged and every other operand merged inside, or ``None``
-    when nothing merged.
+def _merge_operands(kind: type, operands: list) -> Optional[list]:
+    """The operands of the ``kind`` chain over the list ``operands``, with
+    its timed obligations merged and every other operand merged inside, or
+    ``None`` when nothing merged.
 
-    An operand of ``kind`` joins the chain: each is walked down its left
-    spine, stacking only the right operands.  A merged obligation keeps the
-    slot of its first occurrence.
+    One loop walks the list left to right.  An operand of ``kind`` joins the
+    chain: on meeting one, the loop starts over on the flattened list.  A
+    merged obligation keeps the slot of its first occurrence.
     """
     keep_smaller = _KEEP_SMALLER[kind]
     slots: Dict[tuple, int] = {}
     kept: list = []
     changed = False
-    rights: list = []
     for item in operands:
-        while True:
-            while type(item) is kind:
-                rights.append(item.right)
-                item = item.left
-            op = type(item)
-            if op in _TIMED:
-                if op is Eventually or op is Always:
-                    key: tuple = (op, id(item.body))
-                else:
-                    key = (op, id(item.left), id(item.right))
-                slot = slots.get(key)
-                if slot is None:
-                    slots[key] = len(kept)
-                    kept.append(item)
-                else:
-                    changed = True
-                    held = kept[slot].timeout
-                    if item.timeout < held if op in keep_smaller else item.timeout > held:
-                        kept[slot] = item
+        op = type(item)
+        if op in _TIMED:
+            if op is Eventually or op is Always:
+                key: tuple = (op, id(item.body))
             else:
-                merged = merge_obligations(item)
-                changed = changed or merged is not item
-                kept.append(merged)
-            if not rights:
-                break
-            item = rights.pop()
+                key = (op, id(item.left), id(item.right))
+            slot = slots.get(key)
+            if slot is None:
+                slots[key] = len(kept)
+                kept.append(item)
+            else:
+                changed = True
+                held = kept[slot].timeout
+                if item.timeout < held if op in keep_smaller else item.timeout > held:
+                    kept[slot] = item
+        elif op is kind:
+            return _merge_operands(kind, _flatten(kind, operands))
+        else:
+            merged = merge_obligations(item)
+            changed = changed or merged is not item
+            kept.append(merged)
     return kept if changed else None
+
+
+def _flatten(kind: type, operands: list) -> list:
+    """The operands of the ``kind`` chain over ``operands``, left to right."""
+    flat: list = []
+    todo = operands[::-1]
+    while todo:
+        item = todo.pop()
+        if type(item) is kind:
+            todo += item.right, item.left
+        else:
+            flat.append(item)
+    return flat
+
+
+def _nest(make: Callable, operands: list) -> Formula:
+    """``make`` applied over ``operands`` from the right: the chain nested
+    to the right."""
+    result = operands[-1]
+    for item in operands[-2::-1]:
+        result = make(item, result)
+    return result
 
 
 # ---------------------------------------------------------------------------
 # One monitor step
 
 _MAKE = {And: mk_and, Or: mk_or}
+# Per chain kind, the verdict of an operand that drops out of the chain.
+_NEUTRAL = {And: truth.TRUE, Or: truth.FALSE}
 
 
 def _step_chain(phi: Formula, value: Any, time: Timestamp) -> Formula:
     """``unfold(merge_obligations(letter_simplify(phi, (value, time))))`` for
     an ``And`` or ``Or`` chain ``phi`` whose right operand is a chain of its
-    kind, building the result chain once.
+    kind, in one walk over the operands down its right spine.
 
-    The operands down the right spine are simplified left to right with one
-    ``fired`` table, so consumers fire as in :func:`letter_simplify`, all
-    before anything is unfolded.  They are merged as the chain they form
-    would be, which an operand of the chain's kind joins, and the residual
-    is built over them unfolded: over the kept ones nested to the right if
-    obligations merged, as :func:`merge_obligations` nests them, else in the
-    chain's own shape.
+    The walk simplifies the operands left to right with one ``fired`` table,
+    so consumers fire as in :func:`letter_simplify`, all before anything is
+    unfolded.  An operand ``Or``/``And`` of a ``Consume`` and a ``Next``, an
+    unfolded ``F``/``G`` obligation, is stepped in place: the atom fires
+    through the table and its result is folded with the ``Next`` body.  An
+    operand simplified to the chain's neutral leaf drops out, and if all do,
+    the step gives that leaf.  The kept operands are merged as the chain
+    they form would be, which an operand of the chain's kind joins, and the
+    residual is built right to left, each operand unfolded as it is nested:
+    over the merged operands if obligations merged, as
+    :func:`merge_obligations` nests them, else in the chain's own shape.  If
+    unfolding raises, the operands are unfolded left to right instead, so
+    the error is the one the three passes raise.
 
-    The walk stops at an operand simplified to a verdict leaf, which drops
-    out, decides the chain, or as ``?`` folds into its neighbours by the
-    chain's shape.  The rest of the chain is then simplified in one call,
-    and the simplified chain is merged and unfolded.
+    An absorbing leaf or ``?`` stops the walk: it decides the chain, or
+    folds into its neighbours by the chain's shape.  The rest of the chain
+    is then simplified in one call, and the simplified chain is merged and
+    unfolded.
     """
     kind = type(phi)
+    neutral = _NEUTRAL[kind]
     fired: Dict[int, Formula] = {}
-    results: list = []
+    kept: list = []
     operand = phi
     while True:
-        result = _simplify(operand.left, value, time, fired)
-        results.append(result)
-        operand = operand.right
-        if type(result) is Solved or type(operand) is not kind:
+        last = type(operand) is not kind
+        part = operand if last else operand.left
+        op = type(part)
+        if (op is Or or op is And) and type(part.left) is Consume and type(part.right) is Next:
+            atom = part.left
+            result = fired.get(id(atom))
+            if result is None:
+                result = fired[id(atom)] = atom.consumer(value, time)
+            body = part.right.body
+            result = mk_or(result, body) if op is Or else mk_and(result, body)
+        else:
+            result = _simplify(part, value, time, fired)
+        if type(result) is not Solved:
+            kept.append(result)
+        elif result.value is not neutral:
+            kept.append(result)
+            if not last:
+                # The rest of the chain past an absorbing leaf or ``?``.
+                kept.append(_simplify(operand.right, value, time, fired))
+            return unfold(merge_obligations(_nest(_MAKE[kind], kept)))
+        if last:
             break
-    # The last operand, or the rest of the chain past a verdict leaf.
-    last = _simplify(operand, value, time, fired)
-    results.append(last)
-    fused = type(result) is not Solved and type(last) is not Solved
-    if fused:
-        kept = _merge_operands(kind, results)
-        results = list(map(unfold, results if kept is None else kept))
+        operand = operand.right
+    if not kept:
+        return _LEAVES[neutral]
+    merged = _merge_operands(kind, kept)
+    operands = kept if merged is None else merged
     make = _MAKE[kind]
-    residual = results.pop()
-    while results:
-        residual = make(results.pop(), residual)
-    return residual if fused else unfold(merge_obligations(residual))
+    try:
+        residual = unfold(operands[-1])
+        for item in operands[-2::-1]:
+            residual = make(unfold(item), residual)
+    except FormulaError:
+        for item in operands:
+            unfold(item)
+        raise
+    return residual
 
 
 # ---------------------------------------------------------------------------
@@ -935,8 +982,12 @@ class Monitor:
     obligations (:func:`merge_obligations`) and unfolds the next layer
     (:func:`unfold`).  On an ``And`` or ``Or`` chain with three or more
     operands down its right spine, the shape the monitor builds, the three
-    passes are one walk over those operands that builds the chain once
-    (:func:`_step_chain`); the residual is the same.
+    passes are one walk over those operands (:func:`_step_chain`): it fires
+    the atoms of unfolded obligations in place, drops operands that become
+    the chain's neutral leaf, merges the kept ones in one loop and builds
+    the new chain once, unfolding each operand as it is nested.  The
+    residual, the order consumers fire in and the first exception are those
+    of the three passes.
 
     Once a verdict is reached the monitor is inert: stepping it again raises
     :class:`MonitorDecided` and the verdict never changes.  Each step keeps

@@ -41,6 +41,15 @@ def test_run_all_with_json(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_run_json_to_an_unwritable_path_exits_two(tmp_path, capsys):
+    path = tmp_path / "missing" / "reports.json"
+    assert main(["run", "hashtags-extracted", "--min-tests", "5", "--json", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"cannot write {path}: ")
+    assert "Traceback" not in captured.err
+    assert "hashtags-extracted" in captured.out and not path.parent.exists()
+
+
 def test_unknown_example_is_usage_error(capsys):
     assert main(["run", "does-not-exist"]) == 2
     assert "unknown example" in capsys.readouterr().err

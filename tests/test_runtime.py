@@ -910,25 +910,34 @@ def _one_walk_branches(phi, letter):
         part = operand if last else operand.left
         if type(part) is kind:
             tags.add("a left operand is a chain")
+        if type(part) in (And, Or) and type(part.left) is Consume and type(part.right) is Next:
+            tags.add("atom stepped in place")
+            if _reference_simplify(part.left, letter) is rt.UNDECIDED:
+                tags.add("an atom stepped in place returns ?")
         result = _reference_simplify(part, letter)
         if type(result) is Solved:
             if result.value is neutral:
-                return tags | {"stops at a verdict leaf", "neutral leaf"}
-            if result.value is truth.neg(neutral):
+                tags.add("neutral last operand" if last else "neutral leaf, walk goes on")
+            elif result.value is truth.neg(neutral):
                 return tags | {"stops at a verdict leaf", "absorbing leaf"}
-            return tags | {"stops at a verdict leaf", "? from a consumer" if type(part) is Consume else "? leaf"}
-        results.append(result)
+            else:
+                return tags | {"stops at a verdict leaf", "? from a consumer" if type(part) is Consume else "? leaf"}
+        else:
+            results.append(result)
         if last:
             break
         operand = operand.right
+    if not results:
+        return tags | {"every operand neutral"}
     if any(type(result) is kind for result in results):
         tags.add("joins the chain")
     chain = results[-1]
     for result in reversed(results[:-1]):
         chain = kind(result, chain)
-    if _reference_merge_chain(chain) is chain:
+    if _reference_merge(chain) is chain:
         return tags | {"nothing merged"}
-    items = [item for item in _reference_items(chain) if type(item) in (Until, Release)]
+    chain_items = _reference_items(chain) if type(chain) is kind else [chain]
+    items = [item for item in chain_items if type(item) in (Until, Release)]
     keys = [(type(item), id(item.left), id(item.right)) for item in items]
     return tags | {"merged", *(["merged until/release"] if len(set(keys)) < len(keys) else [])}
 
@@ -937,8 +946,9 @@ def test_one_walk_step_on_shaped_chains():
     """The one-walk step equals the test-local three-pass step on chains of
     every shape, including the branches the bundled formulas rarely reach:
     left-nested and mixed chains, ``?`` leaves and consumers that return
-    ``?``, operands that simplify into the chain's own kind, absorbing
-    leaves, and timed operators over the same operands."""
+    ``?``, neutral leaves anywhere in the chain and chains of nothing else,
+    atoms stepped in place, operands that simplify into the chain's own kind,
+    absorbing leaves, and timed operators over the same operands."""
     a, b = letter_is("a"), letter_is("b")
     unsure = rt.now(lambda letter: truth.INCONCLUSIVE if letter == "c" else letter == "a", "?")
 
@@ -954,6 +964,7 @@ def test_one_walk_step_on_shaped_chains():
         ]
         others = [
             lambda: Next(kind(a, Next(b))),
+            lambda: Next(other(unsure, Next(b))),
             lambda: Next(other(Next(Eventually(t, b)), Next(Eventually(t + 1, b)))),
             lambda: Next(Eventually(t, a)),
             lambda: Next(rt.Always(t, a)),
@@ -981,7 +992,11 @@ def test_one_walk_step_on_shaped_chains():
         "three passes",
         "a left operand is a chain",
         "stops at a verdict leaf",
-        "neutral leaf",
+        "neutral leaf, walk goes on",
+        "neutral last operand",
+        "every operand neutral",
+        "atom stepped in place",
+        "an atom stepped in place returns ?",
         "absorbing leaf",
         "? leaf",
         "? from a consumer",
@@ -997,7 +1012,8 @@ def test_one_walk_step_fires_and_raises_as_the_reference():
     """Per letter, consumers first fire in the reference's order, and a
     step raises the reference's first exception.  A consumer that raises
     after a sibling returned a non-formula raises before the non-formula
-    fails to unfold."""
+    fails to unfold, and of two non-formulas kept in one chain the leftmost
+    is the one reported."""
     log = []
 
     def atom(label, answer):
@@ -1016,8 +1032,10 @@ def test_one_walk_step_fires_and_raises_as_the_reference():
         atom("a", lambda letter: rt.TOP if letter == "a" else rt.BOTTOM),
         atom("not b", lambda letter: rt.BOTTOM if letter == "b" else rt.TOP),
         atom("odd", lambda letter: 5 if letter == "b" else rt.TOP),
+        atom("six", lambda letter: 6 if letter == "b" else rt.BOTTOM),
         atom("boom", boom),
     ]
+    last_step = {}
 
     def run(monitor_type, phi, word):
         monitor, fired = monitor_type(phi), []
@@ -1025,6 +1043,7 @@ def test_one_walk_step_fires_and_raises_as_the_reference():
             for letter, time in word:
                 if monitor.verdict is not None:
                     break
+                last_step.update(residual=monitor._current, letter=(letter, time))
                 log.clear()
                 try:
                     monitor.step(letter, time)
@@ -1043,12 +1062,19 @@ def test_one_walk_step_fires_and_raises_as_the_reference():
         word = random_word(rng, max_len=5)
         expected = run(ReferenceMonitor, phi, word)
         assert run(rt.Monitor, phi, word) == expected
-        fired, error, _ = expected
+        fired, error, message = expected
         if error is ValueError and "odd" in fired[-1][: fired[-1].index("boom")]:
             outcomes["raises after a non-formula"] += 1
         elif error is rt.FormulaError:
             outcomes["a non-formula fails to unfold"] += 1
+            simplified = _reference_simplify(last_step["residual"], last_step["letter"])
+            items = _reference_items(simplified) if type(simplified) is kind else [simplified]
+            non_formulas = [item for item in items if type(item) is int]
+            if set(non_formulas) == {5, 6} and not any(type(item) is Solved for item in items):
+                assert message == f"cannot unfold {non_formulas[0]}"
+                outcomes[f"{non_formulas[0]} kept left of {non_formulas[-1]}"] += 1
     assert outcomes["raises after a non-formula"] and outcomes["a non-formula fails to unfold"]
+    assert outcomes["5 kept left of 6"] and outcomes["6 kept left of 5"], outcomes
 
 
 def test_a_predicate_that_raises_in_the_walk_fails_the_same_step(monkeypatch):
