@@ -3,13 +3,15 @@
 Exit codes: 0 when every executed example's outcome matches its expected
 outcome, 1 on a mismatch (including a reference judgment that disagrees with
 the stepwise monitor), 2 on usage errors, on scenario files that cannot be
-read, parsed or evaluated, and on a ``--json`` path that cannot be written.
+read, parsed or evaluated, and on a ``--json`` path that cannot be written
+(checked before the first case runs).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -87,6 +89,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
     else:
         print(f"unknown example {args.name!r}; try 'streamcheck list'", file=sys.stderr)
         return 2
+    if args.json_path:
+        reason = _unwritable(args.json_path)
+        if reason is not None:
+            print(f"cannot write {args.json_path}: {reason}", file=sys.stderr)
+            return 2
 
     documents = []
     all_match = True
@@ -143,6 +150,23 @@ def _cmd_run(args: argparse.Namespace) -> int:
             print(f"cannot write {args.json_path}: {exc}", file=sys.stderr)
             return 2
     return 0 if all_match else 1
+
+
+def _unwritable(path: str) -> Optional[OSError]:
+    """Why ``path`` cannot be opened for writing, or ``None``.
+
+    It is opened for appending, so an existing file is neither truncated nor
+    changed, and a file the check creates is removed again.
+    """
+    created = not os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as exc:
+        return exc
+    if created:
+        os.remove(path)
+    return None
 
 
 def _builtin(name: str, operation):

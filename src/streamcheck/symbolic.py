@@ -4,7 +4,10 @@ Formulas here are purely syntactic.  They are evaluated either directly
 (:func:`judge`, substitution-based, with unrestricted lookahead, on the
 explicit-stack loop of :func:`semantics.judge`) or by compiling to the
 runtime algebra (:func:`compile_formula`) and running the stepwise monitor.
-Letters of the words judged here are closed terms paired with a timestamp.
+Compilation and word generation bind a consume's names in an environment
+instead of substituting them, so the two routes apply the binder by two
+independent mechanisms.  Letters of the words judged here are closed terms
+paired with a timestamp.
 
 The connectives ``Not``, ``And``, ``Or``, ``Implies`` and ``Next`` are the
 runtime node types, here over symbolic operands, and the constants ``true``
@@ -190,11 +193,18 @@ def node_terms(phi: SymFormula) -> Tuple[Term, ...]:
 # Free variables, constants and substitution
 
 
-def term_free_vars(term: Term) -> Set[str]:
+# The names bound by the consumes enclosing a node, each to its closed term.
+Env = Mapping[str, Term]
+NO_BINDINGS: Env = {}
+
+
+def term_free_vars(term: Term, env: Env = NO_BINDINGS) -> Set[str]:
+    """Free variables of ``term`` once each name bound in ``env`` stands for its term."""
     if isinstance(term, Var):
-        return {term.name}
-    if isinstance(term, App):
-        return set().union(*map(term_free_vars, term.args))
+        bound = env.get(term.name)
+        return {term.name} if bound is None else term_free_vars(bound)
+    if isinstance(term, App) and term.args:
+        return set().union(*[term_free_vars(arg, env) for arg in term.args])
     return set()
 
 
@@ -301,37 +311,45 @@ class Interpretation:
     constants: Tuple[str, ...] = ()
 
 
-def eval_term(term: Term, interp: Interpretation) -> Any:
-    """Evaluate a closed term by structural folding."""
-    if isinstance(term, Var):
-        raise OpenFormula(f"cannot evaluate open term: free variable {term.name!r}")
-    if isinstance(term, (Lit, Const)):
-        return term.value
+def eval_term(term: Term, interp: Interpretation, env: Env = NO_BINDINGS) -> Any:
+    """Evaluate a term by structural folding, closed once ``env`` binds its variables.
+
+    Compilation and word generation bind the names of enclosing consumes in
+    ``env`` (:func:`judge` substitutes them instead).  A bound variable's
+    term is evaluated at each use, as the term substituted for it would be.
+    """
     if isinstance(term, App):
         fn = interp.functions.get(term.symbol)
         if fn is None:
             raise UninterpretedSymbol(f"function symbol {term.symbol!r} has no interpretation")
-        return fn(*(eval_term(a, interp) for a in term.args))
+        return fn(*[eval_term(a, interp, env) for a in term.args]) if term.args else fn()
+    if isinstance(term, Var):
+        bound = env.get(term.name)
+        if bound is None:
+            raise OpenFormula(f"cannot evaluate open term: free variable {term.name!r}")
+        return eval_term(bound, interp)
+    if isinstance(term, (Lit, Const)):
+        return term.value
     raise SymbolicError(f"unknown term {term!r}")
 
 
-def _eval_timeout(term: Term, interp: Interpretation) -> int:
-    value = eval_term(term, interp)
+def _eval_timeout(term: Term, interp: Interpretation, env: Env = NO_BINDINGS) -> int:
+    value = eval_term(term, interp, env)
     if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise SymbolicError(f"timeout term evaluated to {value!r}, expected a natural number")
     return value
 
 
-def _holds(phi: SymFormula, interp: Interpretation, relaxed: bool) -> bool:
-    """Truth of a closed, timeless atom."""
+def _holds(phi: SymFormula, interp: Interpretation, relaxed: bool, env: Env = NO_BINDINGS) -> bool:
+    """Truth of a timeless atom, closed once ``env`` binds its variables."""
     if isinstance(phi, Pred):
         rel = interp.predicates.get(phi.name)
         if rel is None:
             raise UninterpretedSymbol(f"predicate symbol {phi.name!r} has no interpretation")
-        return bool(rel(*(eval_term(a, interp) for a in phi.args)))
+        return bool(rel(*[eval_term(a, interp, env) for a in phi.args]))
     if isinstance(phi, Eq):
-        left = eval_term(phi.left, interp)
-        right = eval_term(phi.right, interp)
+        left = eval_term(phi.left, interp, env)
+        right = eval_term(phi.right, interp, env)
         if relaxed:
             # Letters of generated words are batches (frozensets); an equality
             # between a batch and a plain value is read as containment.
@@ -359,9 +377,11 @@ def _lower_atom(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runti
 _WINDOW = dict(zip(_TIMED, (runtime.Eventually, runtime.Always, runtime.Until, runtime.Release)))
 
 
-def _lower_window(phi: SymFormula, interp: Interpretation, relaxed: bool) -> runtime.Formula:
+def _lower_window(
+    phi: SymFormula, interp: Interpretation, relaxed: bool, env: Env = NO_BINDINGS
+) -> runtime.Formula:
     kind = type(phi)
-    timeout = _eval_timeout(phi.timeout, interp)
+    timeout = _eval_timeout(phi.timeout, interp, env)
     return runtime.make_window(_WINDOW[kind], timeout, *CHILDREN[kind](phi))
 
 
@@ -409,16 +429,16 @@ def judge(
 # Walks that lower each window once: safe word length, next form, compilation
 
 
-def _lowering(interp: Interpretation, error: Any = None, reason: str = "") -> dict:
+def _lowering(interp: Interpretation, env: Env, error: Any = None, reason: str = "") -> dict:
     """:data:`CHILDREN` where a symbolic window's child is its :func:`_lower_window`:
     the runtime window over its symbolic operands, or a zero window's leaf.
-    Its timeout is evaluated there, once; with ``error``, a timeout with
-    variables raises it first."""
+    Its timeout is evaluated there, once, under ``env``; with ``error``, a
+    timeout with variables ``env`` does not bind raises it first."""
 
     def lower(node: SymFormula) -> Tuple[runtime.Formula]:
-        if error is not None and term_free_vars(node.timeout):
+        if error is not None and term_free_vars(node.timeout, env):
             raise error(f"{reason}: variables in timeout {node.timeout!r}")
-        return (_lower_window(node, interp, False),)
+        return (_lower_window(node, interp, False, env),)
 
     table = CHILDREN.copy()
     table[Eventually] = table[Always] = table[Until] = table[Release] = lower
@@ -435,15 +455,15 @@ def _safe_length_node(node: SymFormula, kids: Sequence[int]) -> int:
     return length + (node.timeout - 1) if kind in runtime._TIMED else length
 
 
-def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
-    """Safe word length; undefined when a timeout term contains variables."""
-    table = _lowering(interp, runtime.SafeLengthUndefined, "safe word length undefined")
+def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation, env: Env = NO_BINDINGS) -> int:
+    """Safe word length; undefined when a timeout term has variables ``env`` does not bind."""
+    table = _lowering(interp, env, runtime.SafeLengthUndefined, "safe word length undefined")
     return runtime.fold(phi, table, _safe_length_node)
 
 
-def _static_depth(body: SymFormula, interp: Interpretation) -> Optional[int]:
+def _static_depth(body: SymFormula, interp: Interpretation, env: Env = NO_BINDINGS) -> Optional[int]:
     try:
-        return symbolic_safe_word_length(body, interp) + 1
+        return symbolic_safe_word_length(body, interp, env) + 1
     except runtime.SafeLengthUndefined:
         return None
 
@@ -466,7 +486,7 @@ def _next_form_node(node: SymFormula, kids: Sequence[SymFormula]) -> SymFormula:
 
 def next_form(phi: SymFormula, interp: Interpretation) -> SymFormula:
     """Expand timed operators away; timeouts must be variable-free."""
-    table = _lowering(interp, OpenFormula, "cannot expand ahead of time")
+    table = _lowering(interp, NO_BINDINGS, OpenFormula, "cannot expand ahead of time")
     return runtime.fold(phi, table, _next_form_node)
 
 
@@ -474,13 +494,19 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
     """Compile a closed formula to an executable one over timed-term letters.
 
     Closed atoms evaluate immediately (timeless formulas keep their value at
-    every instant).  A consume node becomes a runtime consumer that
-    substitutes the incoming letter and time and compiles the body, so
-    variable timeouts resolve exactly when their binder fires.  A verdict
+    every instant).  A consume node becomes a runtime consumer that binds the
+    incoming letter and time in an environment and compiles the body under
+    it, so variable timeouts resolve exactly when their binder fires; the
+    body is not rewritten (:func:`judge` substitutes instead).  A verdict
     leaf is a runtime node already and is returned itself.  Atoms and
     consumes are leaves of the walk, so a window's timeout is evaluated
     before its operands, and atoms in pre-order.
     """
+    return _compile(phi, interp, NO_BINDINGS)
+
+
+def _compile(phi: SymFormula, interp: Interpretation, env: Env) -> runtime.Formula:
+    """:func:`compile_formula` of ``phi`` with each name ``env`` binds standing for its term."""
 
     def visit(node: Any, kids: Sequence[runtime.Formula]) -> runtime.Formula:
         kind = type(node)
@@ -491,24 +517,26 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
         if kind is Solved:
             return node
         if isinstance(node, (Pred, Eq)):
-            unbound = node_free_vars(node, ())
+            unbound = set().union(*[term_free_vars(term, env) for term in node_terms(node)])
             if unbound:
                 raise OpenFormula(f"atom has free variables {sorted(unbound)}")
             # A fresh leaf: ``merge_obligations`` compares operands by identity.
-            return Solved(Verdict.from_bool(_holds(node, interp, relaxed=False)))
+            return Solved(Verdict.from_bool(_holds(node, interp, False, env)))
         if isinstance(node, Consume):
             body, var, time_var = node.body, node.var, node.time_var
 
             def consumer(letter: Any, time: int) -> runtime.Formula:
                 letter_term = letter if isinstance(letter, Term) else Const(letter)
-                bound = substitute(body, {time_var: Lit(time), var: letter_term})
-                return compile_formula(bound, interp)
+                # The letter wins when both binders share a name.
+                return _compile(body, interp, {**env, time_var: Lit(time), var: letter_term})
 
+            # Ahead of firing, the body's own binders are open; they shadow what they rebind.
+            enclosing = {name: term for name, term in env.items() if name not in (var, time_var)}
             return runtime.Consume(
-                consumer, static_depth=_static_depth(body, interp), label=f"consume {var}"
+                consumer, static_depth=_static_depth(body, interp, enclosing), label=f"consume {var}"
             )
         raise SymbolicError(f"unknown formula {node!r}")
 
-    table = _lowering(interp)
+    table = _lowering(interp, env)
     table[Consume] = runtime.no_children  # its body is compiled when it fires
     return runtime.fold(phi, table, visit)

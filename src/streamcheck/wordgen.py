@@ -18,7 +18,7 @@ import random
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
 
 from . import runtime, symbolic, truth
-from .symbolic import App, Interpretation, SymFormula
+from .symbolic import App, Env, Interpretation, SymFormula
 from .truth import Verdict
 
 
@@ -96,7 +96,7 @@ def generate_word(
         template = _NOT_GENERATABLE.get(_kind(bad), "formula is not in next form: {phi!r}")
         raise GeneratorFragmentError(template.format(phi=bad))
     kept: _Kept = []
-    if not _fill(phi, 0, kept, interp, rng):
+    if not _fill(phi, 0, kept, interp, rng, symbolic.NO_BINDINGS):
         return GEN_ERR
     word = [set() for _ in range(max((pos for pos, _ in kept), default=-1) + 1)]
     for pos, elements in kept:
@@ -104,39 +104,42 @@ def generate_word(
     return [frozenset(batch) for batch in word]
 
 
-def _fill(phi: SymFormula, pos: int, kept: _Kept, interp: Interpretation, rng: random.Random) -> bool:
+def _fill(
+    phi: SymFormula, pos: int, kept: _Kept, interp: Interpretation, rng: random.Random, env: Env
+) -> bool:
     """Generate ``phi`` from ``pos`` on into ``kept``, and say whether it was generated.
 
-    The records of a choice that failed are cut before the next one is tried.
+    ``env`` binds the variable of each enclosing consume to the witness tried
+    for it; the body is not rewritten.  The records of a choice that failed
+    are cut before the next one is tried.
     """
     if type(phi) is runtime.Solved:
         return True  # only a ``true`` leaf passes the fragment check
     if isinstance(phi, (symbolic.Pred, symbolic.Eq)):
-        return symbolic._holds(phi, interp, relaxed=False)
+        return symbolic._holds(phi, interp, False, env)
     mark = len(kept)
     if isinstance(phi, symbolic.Or):
         branches = [phi.left, phi.right]
         rng.shuffle(branches)
         for branch in branches:
-            if _fill(branch, pos, kept, interp, rng):
+            if _fill(branch, pos, kept, interp, rng, env):
                 return True
             del kept[mark:]
         return False
     if isinstance(phi, symbolic.And):
-        left = _fill(phi.left, pos, kept, interp, rng)  # the right draws even if this failed
-        return _fill(phi.right, pos, kept, interp, rng) and left
+        left = _fill(phi.left, pos, kept, interp, rng, env)  # the right draws even if this failed
+        return _fill(phi.right, pos, kept, interp, rng, env) and left
     if isinstance(phi, symbolic.Implies):
-        return _fill(phi.right, pos, kept, interp, rng)
+        return _fill(phi.right, pos, kept, interp, rng, env)
     if isinstance(phi, symbolic.Next):
         kept.append((pos, ()))
-        return _fill(phi.body, pos + 1, kept, interp, rng)
+        return _fill(phi.body, pos + 1, kept, interp, rng, env)
     if isinstance(phi, symbolic.Consume):
         pool = list(interp.constants)
         rng.shuffle(pool)
         for name in pool:
             witness = App(name)
-            body = symbolic.substitute(phi.body, {phi.var: witness})
-            if _fill(body, pos + 1, kept, interp, rng):
+            if _fill(phi.body, pos + 1, kept, interp, rng, {**env, phi.var: witness}):
                 kept.append((pos, (symbolic.eval_term(witness, interp),)))
                 return True
             del kept[mark:]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from streamcheck import cli, harness
 from streamcheck.cli import main
 
 
@@ -47,7 +48,25 @@ def test_run_json_to_an_unwritable_path_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"cannot write {path}: ")
     assert "Traceback" not in captured.err
-    assert "hashtags-extracted" in captured.out and not path.parent.exists()
+    assert "hashtags-extracted" not in captured.out and not path.parent.exists()
+
+
+@pytest.mark.parametrize("existing", [True, False])
+def test_run_json_check_leaves_the_path_as_it_was(tmp_path, monkeypatch, capsys, existing):
+    """A run that stops before writing leaves an existing file unchanged and
+    creates none."""
+    path = tmp_path / "reports.json"
+    if existing:
+        path.write_text("earlier reports\n")
+
+    def mismatch(spec, cfg):
+        raise harness.OracleMismatch("case 0")
+
+    monkeypatch.setattr(cli, "run_example", mismatch)
+    assert main(["run", "hashtags-extracted", "--json", str(path)]) == 1
+    capsys.readouterr()
+    assert path.exists() is existing
+    assert not existing or path.read_text() == "earlier reports\n"
 
 
 def test_unknown_example_is_usage_error(capsys):

@@ -2,6 +2,7 @@
 they replace, and on next forms deeper than Python's recursion limit."""
 
 import dataclasses
+import itertools
 import random
 import tracemalloc
 
@@ -734,6 +735,100 @@ def test_compile_agrees_with_recursion():
             assert new == compiled_outcome(_Recursive.compile_formula, node)
             compiled += isinstance(new[0][0], str)  # a rendering, not an exception type
     assert compiled > 1000
+
+
+X, Y, O = sym.Var("x"), sym.Var("y"), sym.Var("o")
+
+
+def plus(term, n):
+    return sym.App("plus", (term, sym.Lit(n)))
+
+
+# Binders that rebind a name in scope.  The random corpus draws binder names
+# from 10,000, so it almost never shadows one; compilation and generation
+# bind names in an environment, which must give what substitution gives.
+SHADOWING = [
+    # An inner consume rebinds the outer letter's name; the outer letter is
+    # read beside it and after it.
+    sym.Consume("x", "o", sym.And(sym.eq(X, "a"), sym.Next(sym.Consume("x", "p", sym.eq(X, "b"))))),
+    sym.Consume(
+        "x", "o", sym.Next(sym.Or(sym.Consume("x", "p", sym.eq(X, "b")), sym.Next(sym.eq(X, "a"))))
+    ),
+    # An inner consume rebinds the time variable an outer timeout reads: its
+    # own timeout reads the inner time, and its body has no static depth.
+    sym.Consume(
+        "x", "o", sym.Always(plus(O, 1), sym.Consume("y", "o", sym.Eventually(plus(O, 1), sym.eq(Y, X))))
+    ),
+    # An inner timeout reads the outer time, which is bound when the inner
+    # consume is compiled: its body has a static depth.
+    sym.Consume(
+        "x",
+        "o",
+        sym.Next(
+            sym.Consume("y", "p", sym.Always(plus(O, 1), sym.Or(sym.eq(Y, X), consume_eq("z", "q", "a"))))
+        ),
+    ),
+    # A consume binds its letter and its time to one name: the letter wins.
+    sym.Consume(
+        "x", "x", sym.Or(sym.eq(X, "a"), sym.Always(plus(X, 1), sym.Consume("y", "p", sym.eq(Y, X))))
+    ),
+    sym.Consume("x", "o", sym.Next(sym.Consume("o", "o", sym.Always(plus(O, 0), sym.Eq(X, O))))),
+]
+# Letters whose terms are symbols and numbers, so timeouts read a number and
+# some read a symbol and raise.
+SHADOWING_LETTERS = [(sym.App("a"), 0), (sym.App("b"), 2), (sym.Lit(1), 3), (sym.Lit(2), 5)]
+
+
+def fired_outcome(compile_formula, phi, word):
+    """What compiling ``phi`` gives, as text and each consume's label and
+    static depth, then what every consume gives on each letter of ``word`` in
+    turn, or the type and message of what it raised; and the interpreted
+    calls made, in order."""
+    log, results = [], []
+    pending = [(outcome(compile_formula, phi, recording(INTERP, log)), 0)]
+    while pending:
+        formula, position = pending.pop()
+        if not isinstance(formula, rt.Formula):
+            results.append(formula)
+            continue
+        consumes = [node for node in subformulas(formula, rt.CHILDREN) if isinstance(node, Consume)]
+        results.append((rt.render(formula), [(c.label, c.static_depth) for c in consumes]))
+        if position < len(word):
+            pending += [(outcome(c.consumer, *word[position]), position + 1) for c in consumes]
+    return results, log
+
+
+def test_shadowing_binders_compile_and_fire_as_substitution():
+    """The environment's scoping, against the compile that substitutes, call
+    for call, and against ``symbolic.judge`` on every word of up to three letters."""
+    static_depths = set()
+    for phi in SHADOWING:
+        for n in range(4):
+            for word in itertools.product(SHADOWING_LETTERS, repeat=n):
+                new = fired_outcome(sym.compile_formula, phi, word)
+                assert new == fired_outcome(_Recursive.compile_formula, phi, word)
+                static_depths.update(d for fired in new[0] if isinstance(fired[0], str) for _, d in fired[1])
+                verdict = outcome(monitor_verdict, sym.compile_formula(phi, INTERP), word)
+                assert verdict == outcome(sym.judge, word, 1, phi, INTERP), (phi, word)
+    assert None in static_depths and len(static_depths) > 2
+
+
+GENERATABLE_SHADOWING = [
+    sym.Consume("x", "o", sym.And(sym.eq(X, "a"), sym.Next(sym.Consume("x", "o", sym.eq(X, "b"))))),
+    sym.Consume("x", "o", sym.Next(sym.Or(sym.Consume("x", "p", sym.eq(X, "b")), sym.Next(sym.eq(X, "a"))))),
+    sym.Consume("x", "o", sym.Next(sym.Consume("x", "p", sym.Or(sym.eq(X, "c"), consume_eq("x", "q", "a"))))),
+    # A generated body may not read a time variable, so a consume whose two
+    # binders share a name generates only when its body does not read it.
+    sym.Consume("x", "x", sym.Next(consume_eq("y", "p", "a"))),
+]
+
+
+def test_shadowing_binders_generate_as_substitution_draw_for_draw():
+    for phi in GENERATABLE_SHADOWING:
+        for seed in range(50):
+            new = generation_outcome(wordgen.generate_word, phi, seed)
+            assert new == generation_outcome(_Recursive.generate, phi, seed)
+            assert wordgen.relaxed_judge(phi, new[0], INTERP) is truth.TRUE
 
 
 def test_interpretation_symbols_agree_with_recursion():
