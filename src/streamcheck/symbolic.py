@@ -456,9 +456,24 @@ def _safe_length_node(node: SymFormula, kids: Sequence[int]) -> int:
 
 
 def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation, env: Env = NO_BINDINGS) -> int:
-    """Safe word length; undefined when a timeout term has variables ``env`` does not bind."""
+    """Safe word length; undefined when a timeout term has variables ``env`` does not bind.
+
+    A consume that rebinds a name of ``env`` is a leaf of the walk: its body
+    is measured at once, under ``env`` without the consume's two names, as
+    :func:`substitute` leaves that name open in it.
+    """
     table = _lowering(interp, env, runtime.SafeLengthUndefined, "safe word length undefined")
-    return runtime.fold(phi, table, _safe_length_node)
+    if not env:
+        return runtime.fold(phi, table, _safe_length_node)
+
+    def measure(node: SymFormula, kids: Sequence[int]) -> int:
+        if type(node) is Consume and not kids:
+            rest = {k: v for k, v in env.items() if k != node.var and k != node.time_var}
+            return symbolic_safe_word_length(node.body, interp, rest) + 1
+        return _safe_length_node(node, kids)
+
+    table[Consume] = lambda node: () if node.var in env or node.time_var in env else (node.body,)
+    return runtime.fold(phi, table, measure)
 
 
 def _static_depth(body: SymFormula, interp: Interpretation, env: Env = NO_BINDINGS) -> Optional[int]:

@@ -709,20 +709,24 @@ def test_generation_agrees_with_recursion_draw_for_draw(corpus):
         assert failed == 0
 
 
+def compiled_consumes(formula):
+    return [node for node in subformulas(formula, rt.CHILDREN) if isinstance(node, Consume)]
+
+
+def compiled_view(compiled):
+    """A compiled formula as text and size with each consume's label and
+    static depth; the outcome of a call that raised, itself."""
+    if not isinstance(compiled, rt.Formula):
+        return compiled
+    consumes = [(node.label, node.static_depth) for node in compiled_consumes(compiled)]
+    return rt.render(compiled), rt.size(compiled), consumes
+
+
 def compiled_outcome(compile_formula, phi):
-    """What a compile gives, as text and size with each consume's label and
-    static depth, or the type and message of what it raised; and the
-    interpreted calls it made."""
+    """What a compile gives, as :func:`compiled_view` shows it, or the type
+    and message of what it raised; and the interpreted calls it made."""
     log = []
-    compiled = outcome(compile_formula, phi, recording(INTERP, log))
-    if isinstance(compiled, rt.Formula):
-        consumes = [
-            (node.label, node.static_depth)
-            for node in subformulas(compiled, rt.CHILDREN)
-            if isinstance(node, Consume)
-        ]
-        compiled = (rt.render(compiled), rt.size(compiled), consumes)
-    return compiled, log
+    return compiled_view(outcome(compile_formula, phi, recording(INTERP, log))), log
 
 
 def test_compile_agrees_with_recursion():
@@ -737,7 +741,7 @@ def test_compile_agrees_with_recursion():
     assert compiled > 1000
 
 
-X, Y, O = sym.Var("x"), sym.Var("y"), sym.Var("o")
+X, Y, Z, O = sym.Var("x"), sym.Var("y"), sym.Var("z"), sym.Var("o")
 
 
 def plus(term, n):
@@ -773,6 +777,14 @@ SHADOWING = [
         "x", "x", sym.Or(sym.eq(X, "a"), sym.Always(plus(X, 1), sym.Consume("y", "p", sym.eq(Y, X))))
     ),
     sym.Consume("x", "o", sym.Next(sym.Consume("o", "o", sym.Always(plus(O, 0), sym.Eq(X, O))))),
+    # A consume two levels below the one that fires rebinds the letter's or
+    # the time's name: the middle consume's static depth reads neither.
+    sym.Consume(
+        "x", "o", sym.Next(sym.Consume("y", "p", sym.Consume("x", "q", sym.Always(plus(X, 1), sym.eq(Y, "b")))))
+    ),
+    sym.Consume(
+        "x", "o", sym.Next(sym.Consume("y", "p", sym.Consume("z", "o", sym.Always(plus(O, 1), sym.eq(Y, Z)))))
+    ),
 ]
 # Letters whose terms are symbols and numbers, so timeouts read a number and
 # some read a symbol and raise.
@@ -780,21 +792,17 @@ SHADOWING_LETTERS = [(sym.App("a"), 0), (sym.App("b"), 2), (sym.Lit(1), 3), (sym
 
 
 def fired_outcome(compile_formula, phi, word):
-    """What compiling ``phi`` gives, as text and each consume's label and
-    static depth, then what every consume gives on each letter of ``word`` in
-    turn, or the type and message of what it raised; and the interpreted
+    """:func:`compiled_outcome`, then the :func:`compiled_view` of what every
+    consume gives on each letter of ``word`` in turn; and the interpreted
     calls made, in order."""
     log, results = [], []
     pending = [(outcome(compile_formula, phi, recording(INTERP, log)), 0)]
     while pending:
         formula, position = pending.pop()
-        if not isinstance(formula, rt.Formula):
-            results.append(formula)
-            continue
-        consumes = [node for node in subformulas(formula, rt.CHILDREN) if isinstance(node, Consume)]
-        results.append((rt.render(formula), [(c.label, c.static_depth) for c in consumes]))
-        if position < len(word):
-            pending += [(outcome(c.consumer, *word[position]), position + 1) for c in consumes]
+        results.append(compiled_view(formula))
+        if isinstance(formula, rt.Formula) and position < len(word):
+            fire = word[position]
+            pending += [(outcome(c.consumer, *fire), position + 1) for c in compiled_consumes(formula)]
     return results, log
 
 
@@ -807,7 +815,7 @@ def test_shadowing_binders_compile_and_fire_as_substitution():
             for word in itertools.product(SHADOWING_LETTERS, repeat=n):
                 new = fired_outcome(sym.compile_formula, phi, word)
                 assert new == fired_outcome(_Recursive.compile_formula, phi, word)
-                static_depths.update(d for fired in new[0] if isinstance(fired[0], str) for _, d in fired[1])
+                static_depths.update(d for fired in new[0] if isinstance(fired[0], str) for _, d in fired[2])
                 verdict = outcome(monitor_verdict, sym.compile_formula(phi, INTERP), word)
                 assert verdict == outcome(sym.judge, word, 1, phi, INTERP), (phi, word)
     assert None in static_depths and len(static_depths) > 2
