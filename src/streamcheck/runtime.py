@@ -640,9 +640,10 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     of a node type is foreign here, as it is to :func:`fold`.  A
     :class:`Monitor` step on a chain simplifies the chain's operands one at
     a time with one table for the letter: an unfolded obligation's atom is
-    fired in place, every other operand goes through the same walker, and
-    an operand that simplifies to the chain's neutral leaf drops out.  The
-    step builds only the chain it keeps.
+    fired in place, every other operand goes through the same walker, an
+    operand that simplifies to the chain's neutral leaf drops out, and one
+    that simplifies to its absorbing leaf is the result once the rest of
+    the chain has fired.  The step builds only the chain it keeps.
     """
     if letter is None:
         return _LEAVES[_close(phi)]
@@ -813,9 +814,9 @@ _NEUTRAL = {And: truth.TRUE, Or: truth.FALSE}
 
 
 def _step_chain(phi: Formula, value: Any, time: Timestamp) -> Formula:
-    """``unfold(merge_obligations(letter_simplify(phi, (value, time))))`` for
-    an ``And`` or ``Or`` chain ``phi`` whose right operand is a chain of its
-    kind, in one walk over the operands down its right spine.
+    """A :class:`Monitor` step (simplify, merge, unfold) of an ``And`` or
+    ``Or`` chain ``phi`` whose right operand is a chain of its kind, in one
+    walk over the operands down its right spine.
 
     The walk simplifies the operands left to right with one ``fired`` table,
     so consumers fire as in :func:`letter_simplify`, all before anything is
@@ -823,18 +824,14 @@ def _step_chain(phi: Formula, value: Any, time: Timestamp) -> Formula:
     unfolded ``F``/``G`` obligation, is stepped in place: the atom fires
     through the table and its result is folded with the ``Next`` body.  An
     operand simplified to the chain's neutral leaf drops out, and if all do,
-    the step gives that leaf.  The kept operands are merged as the chain
-    they form would be, which an operand of the chain's kind joins, and the
-    residual is built right to left, each operand unfolded as it is nested:
-    over the merged operands if obligations merged, as
-    :func:`merge_obligations` nests them, else in the chain's own shape.  If
-    unfolding raises, the operands are unfolded left to right instead, so
-    the error is the one the three passes raise.
-
-    An absorbing leaf or ``?`` stops the walk: it decides the chain, or
-    folds into its neighbours by the chain's shape.  The rest of the chain
-    is then simplified in one call, and the simplified chain is merged and
-    unfolded.
+    the step gives that leaf.  An absorbing leaf (``F`` in ``And``, ``T`` in
+    ``Or``) decides the chain: the rest of the chain is simplified in one
+    call, so its consumers still fire, and the step gives that leaf.  Every
+    other operand, ``?`` included, is kept.  The kept operands are merged as
+    the chain they form would be, which an operand of the chain's kind
+    joins, and the residual is built right to left, each operand unfolded as
+    it is nested.  If unfolding raises, the operands are unfolded left to
+    right instead, so the error is the one the three passes raise.
     """
     kind = type(phi)
     neutral = _NEUTRAL[kind]
@@ -854,14 +851,12 @@ def _step_chain(phi: Formula, value: Any, time: Timestamp) -> Formula:
             result = mk_or(result, body) if op is Or else mk_and(result, body)
         else:
             result = _simplify(part, value, time, fired)
-        if type(result) is not Solved:
+        if type(result) is not Solved or result.value is truth.INCONCLUSIVE:
             kept.append(result)
         elif result.value is not neutral:
-            kept.append(result)
             if not last:
-                # The rest of the chain past an absorbing leaf or ``?``.
-                kept.append(_simplify(operand.right, value, time, fired))
-            return unfold(merge_obligations(_nest(_MAKE[kind], kept)))
+                _simplify(operand.right, value, time, fired)  # the rest still fires
+            return result
         if last:
             break
         operand = operand.right
@@ -984,7 +979,8 @@ class Monitor:
     operands down its right spine, the shape the monitor builds, the three
     passes are one walk over those operands (:func:`_step_chain`): it fires
     the atoms of unfolded obligations in place, drops operands that become
-    the chain's neutral leaf, merges the kept ones in one loop and builds
+    the chain's neutral leaf, returns at once an absorbing leaf after firing
+    the rest of the chain, merges the kept operands in one loop and builds
     the new chain once, unfolding each operand as it is nested.  The
     residual, the order consumers fire in and the first exception are those
     of the three passes.

@@ -460,11 +460,10 @@ def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation, env: Env 
 
     A consume that rebinds a name of ``env`` is a leaf of the walk: its body
     is measured at once, under ``env`` without the consume's two names, as
-    :func:`substitute` leaves that name open in it.
+    :func:`substitute` leaves that name open in it.  Every other node is
+    measured by :func:`_safe_length_node`.
     """
     table = _lowering(interp, env, runtime.SafeLengthUndefined, "safe word length undefined")
-    if not env:
-        return runtime.fold(phi, table, _safe_length_node)
 
     def measure(node: SymFormula, kids: Sequence[int]) -> int:
         if type(node) is Consume and not kids:

@@ -111,29 +111,33 @@ def _fill(
 
     ``env`` binds the variable of each enclosing consume to the witness tried
     for it; the body is not rewritten.  The records of a choice that failed
-    are cut before the next one is tried.
+    are cut before the next one is tried.  The walk loops down a
+    conjunction's right operand and the bodies of ``next`` and ``implies``,
+    so it recurses only into left operands and choices, and ``ok`` says
+    whether every left operand on the way passed.
     """
+    ok = True
+    while isinstance(phi, (symbolic.And, symbolic.Implies, symbolic.Next)):
+        if isinstance(phi, symbolic.Next):
+            kept.append((pos, ()))
+            phi, pos = phi.body, pos + 1
+        else:
+            if isinstance(phi, symbolic.And):  # the right draws even if the left failed
+                ok = _fill(phi.left, pos, kept, interp, rng, env) and ok
+            phi = phi.right
     if type(phi) is runtime.Solved:
-        return True  # only a ``true`` leaf passes the fragment check
+        return ok  # only a ``true`` leaf passes the fragment check
     if isinstance(phi, (symbolic.Pred, symbolic.Eq)):
-        return symbolic._holds(phi, interp, False, env)
+        return symbolic._holds(phi, interp, False, env) and ok
     mark = len(kept)
     if isinstance(phi, symbolic.Or):
         branches = [phi.left, phi.right]
         rng.shuffle(branches)
         for branch in branches:
             if _fill(branch, pos, kept, interp, rng, env):
-                return True
+                return ok
             del kept[mark:]
         return False
-    if isinstance(phi, symbolic.And):
-        left = _fill(phi.left, pos, kept, interp, rng, env)  # the right draws even if this failed
-        return _fill(phi.right, pos, kept, interp, rng, env) and left
-    if isinstance(phi, symbolic.Implies):
-        return _fill(phi.right, pos, kept, interp, rng, env)
-    if isinstance(phi, symbolic.Next):
-        kept.append((pos, ()))
-        return _fill(phi.body, pos + 1, kept, interp, rng, env)
     if isinstance(phi, symbolic.Consume):
         pool = list(interp.constants)
         rng.shuffle(pool)
@@ -141,7 +145,7 @@ def _fill(
             witness = App(name)
             if _fill(phi.body, pos + 1, kept, interp, rng, {**env, phi.var: witness}):
                 kept.append((pos, (symbolic.eval_term(witness, interp),)))
-                return True
+                return ok
             del kept[mark:]
     return False
 

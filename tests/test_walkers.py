@@ -977,6 +977,15 @@ def test_symbolic_route_has_no_recursion_cliff():
         wordgen.generate_word(sym.next_form(sym.eventually(DEEP, open_body), INTERP), INTERP, None)
 
 
+def test_word_generation_has_no_recursion_cliff():
+    """An ``always`` next form nests a conjunction and a ``next`` per instant;
+    the generator loops down both, so a word of DEEP batches generates."""
+    expanded = sym.next_form(sym.always(DEEP, consume_eq("x", "o", "a")), INTERP)
+    word = wordgen.generate_word(expanded, INTERP, random.Random(0))
+    assert word == [frozenset({"a"})] * DEEP
+    assert wordgen.relaxed_judge(expanded, word, INTERP) is truth.TRUE
+
+
 def test_fold_memory_grows_with_depth_not_size():
     """The eager form shares one body object along each chain, so this
     67,498-node tree is only about 600 nodes deep."""
