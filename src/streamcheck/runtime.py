@@ -519,22 +519,13 @@ def unfold(phi: Formula) -> Formula:
     Timed operators visible without crossing a ``Next`` or ``Consume``
     boundary are expanded one instant; the operator kept for later instants
     stays folded inside ``Next``.  A :class:`Timed` node stores its result,
-    so every run of a formula shares the unfoldings reached so far.  A
-    conjunction or disjunction whose operands come back unchanged and
-    unsolved is returned itself.
+    so every run of a formula shares the unfoldings reached so far.
     """
     kind = type(phi)
     if kind is Next or kind is Consume or kind is Solved:
         return phi
     if kind is And or kind is Or:
         left, right = unfold(phi.left), unfold(phi.right)
-        if (
-            left is phi.left
-            and right is phi.right
-            and type(left) is not Solved
-            and type(right) is not Solved
-        ):
-            return phi
         return mk_and(left, right) if kind is And else mk_or(left, right)
     if kind in _TIMED:
         result = phi._unfolded
@@ -637,13 +628,7 @@ def letter_simplify(phi: Formula, letter: Optional[Letter]) -> Formula:
     A ``Consume`` node that occurs more than once fires once per letter: its
     result is kept in a table keyed by the node's identity, which lives only
     for this call.  Nodes are dispatched on their exact type, so a subclass
-    of a node type is foreign here, as it is to :func:`fold`.  A
-    :class:`Monitor` step on a chain simplifies the chain's operands one at
-    a time with one table for the letter: an unfolded obligation's atom is
-    fired in place, every other operand goes through the same walker, an
-    operand that simplifies to the chain's neutral leaf drops out, and one
-    that simplifies to its absorbing leaf is the result once the rest of
-    the chain has fired.  The step builds only the chain it keeps.
+    of a node type is foreign here, as it is to :func:`fold`.
     """
     if letter is None:
         return _LEAVES[_close(phi)]

@@ -475,9 +475,9 @@ def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation, env: Env 
     return runtime.fold(phi, table, measure)
 
 
-def _static_depth(body: SymFormula, interp: Interpretation, env: Env = NO_BINDINGS) -> Optional[int]:
+def _static_depth(consume: Consume, interp: Interpretation, env: Env = NO_BINDINGS) -> Optional[int]:
     try:
-        return symbolic_safe_word_length(body, interp, env) + 1
+        return symbolic_safe_word_length(consume, interp, env)
     except runtime.SafeLengthUndefined:
         return None
 
@@ -544,10 +544,9 @@ def _compile(phi: SymFormula, interp: Interpretation, env: Env) -> runtime.Formu
                 # The letter wins when both binders share a name.
                 return _compile(body, interp, {**env, time_var: Lit(time), var: letter_term})
 
-            # Ahead of firing, the body's own binders are open; they shadow what they rebind.
-            enclosing = {name: term for name, term in env.items() if name not in (var, time_var)}
+            # The consume's own safe length leaves its names open until it fires.
             return runtime.Consume(
-                consumer, static_depth=_static_depth(body, interp, enclosing), label=f"consume {var}"
+                consumer, static_depth=_static_depth(node, interp, env), label=f"consume {var}"
             )
         raise SymbolicError(f"unknown formula {node!r}")
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from streamcheck import examples, harness
+from streamcheck import runtime as rt
 from streamcheck.examples import EXAMPLES, observed_outcome, run_example
 from streamcheck.generators import Batch, StreamPrefix
 from streamcheck.harness import HarnessConfig
@@ -32,6 +33,42 @@ def test_examples_survive_oracle_crosscheck():
     for name, spec in EXAMPLES.items():
         cfg = HarnessConfig(min_tests_ok=5, seed=42, oracle_crosscheck=True)
         run_example(spec, cfg)  # OracleMismatch would raise
+
+
+SAFE_LENGTHS = {
+    "banning-stateless": 14,
+    "banning-stateful": 14,
+    "hashtags-extracted": 5,
+    "hashtags-counted": 16,
+    "top-hashtag-shift": 6,
+    "top-hashtag-unique": 5,
+    "counts-drain-to-zero": None,  # a dynamic consumer
+    "peak-implies-top": None,  # a dynamic consumer
+}
+
+
+def test_example_safe_lengths_pinned():
+    assert set(SAFE_LENGTHS) == set(EXAMPLES)
+    for name, expected in SAFE_LENGTHS.items():
+        _gen, _subject, formula = EXAMPLES[name].build()
+        if expected is None:
+            with pytest.raises(rt.SafeLengthUndefined):
+                rt.safe_word_length(formula)
+        else:
+            assert rt.safe_word_length(formula) == expected, name
+
+
+@pytest.mark.parametrize("name", ["hashtags-extracted", "hashtags-counted", "top-hashtag-unique"])
+def test_prefixes_reaching_the_safe_length_decide_every_case(name):
+    """Every prefix of these examples is at least the formula's safe length
+    long, so no case is left inconclusive."""
+    spec = EXAMPLES[name]
+    prefix_gen, _subject, formula = spec.build()
+    shortest = min(len(prefix_gen(random.Random(seed))) for seed in range(50))
+    assert shortest >= rt.safe_word_length(formula)
+    for seed in range(20):
+        report = run_example(spec, HarnessConfig(min_tests_ok=spec.min_tests_ok, seed=seed))
+        assert report.inconclusive == 0, (name, seed)
 
 
 class TestHashtagExtraction:

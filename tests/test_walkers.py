@@ -363,7 +363,7 @@ class _Recursive:
                 return _Recursive.compile_formula(bound, interp)
 
             return rt.Consume(
-                consumer, static_depth=sym._static_depth(body, interp), label=f"consume {var}"
+                consumer, static_depth=sym._static_depth(phi, interp), label=f"consume {var}"
             )
         raise sym.SymbolicError(f"unknown formula {phi!r}")
 
