@@ -13,11 +13,14 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import harness, runtime, sexpr, symbolic
+from . import harness, runtime
 from .examples import EXAMPLES, observed_outcome, run_example
 from .harness import HarnessConfig
+
+if TYPE_CHECKING:
+    from . import symbolic
 
 DEFAULT_SEED = 42
 
@@ -176,6 +179,8 @@ def _builtin(name: str, operation):
         try:
             return operation(*args)
         except TypeError as exc:
+            from . import symbolic
+
             shown = " ".join(map(repr, args))
             raise symbolic.SymbolicError(f"({name} {shown}): {exc}") from exc
 
@@ -193,6 +198,8 @@ _PRED_BUILTINS = {
 def default_interpretation(phi: symbolic.SymFormula, word) -> symbolic.Interpretation:
     """Initial-model interpretation: nullary symbols denote themselves,
     with built-in arithmetic (`plus`) and ordering (`leq`)."""
+    from . import symbolic
+
     symbols = symbolic.constants(phi).union(*(symbolic.term_constants(term) for term, _ in word))
     symbols -= _ARITHMETIC.keys()
     functions = {name: (lambda name=name: name) for name in sorted(symbols)}
@@ -203,10 +210,12 @@ def default_interpretation(phi: symbolic.SymFormula, word) -> symbolic.Interpret
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from . import sexpr, symbolic
+
     try:
         with open(args.path, encoding="utf-8") as handle:
             formula, word, expected = sexpr.parse_scenario(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
     except sexpr.SexprError as exc:

@@ -35,6 +35,8 @@ from .truth import Verdict
 
 @dataclass(frozen=True)
 class ExampleSpec:
+    """A bundled example: its name, expected outcome, case budget and builder."""
+
     name: str
     description: str
     expected: str  # "pass" or "fail"

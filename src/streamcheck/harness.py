@@ -287,6 +287,8 @@ def _run_case(
 
 @dataclass(frozen=True)
 class Counterexample:
+    """The refuted case: its index, its prefix, the monitor's trace and the step it failed at."""
+
     case_index: int
     prefix: StreamPrefix
     trace: Tuple[StepTrace, ...]
@@ -295,6 +297,8 @@ class Counterexample:
 
 @dataclass(frozen=True)
 class PropertyReport:
+    """Counts of one property run and, when it failed or raised, why."""
+
     property_name: str
     seed: int
     cases: int

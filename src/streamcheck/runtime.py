@@ -90,6 +90,8 @@ class Formula:
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Solved(Formula):
+    """A decided formula: the verdict leaf ``value``."""
+
     value: Verdict
 
     def __init__(self, value: Verdict) -> None:
@@ -98,6 +100,8 @@ class Solved(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Not(Formula):
+    """Negation of ``body``."""
+
     body: Formula
 
     def __init__(self, body: Formula) -> None:
@@ -106,6 +110,8 @@ class Not(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class And(Formula):
+    """Conjunction of ``left`` and ``right``."""
+
     left: Formula
     right: Formula
 
@@ -116,6 +122,8 @@ class And(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Or(Formula):
+    """Disjunction of ``left`` and ``right``."""
+
     left: Formula
     right: Formula
 
@@ -126,6 +134,8 @@ class Or(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Implies(Formula):
+    """``left`` implies ``right``."""
+
     left: Formula
     right: Formula
 
@@ -136,6 +146,8 @@ class Implies(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Next(Formula):
+    """``body`` holds at the next instant."""
+
     body: Formula
 
     def __init__(self, body: Formula) -> None:
@@ -191,6 +203,8 @@ class Timed(Formula):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Eventually(Timed):
+    """``body`` holds at one of the next ``timeout`` instants, the current one included."""
+
     timeout: int
     body: Formula
 
@@ -203,6 +217,8 @@ class Eventually(Timed):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Always(Timed):
+    """``body`` holds at each of the next ``timeout`` instants, the current one included."""
+
     timeout: int
     body: Formula
 
@@ -215,6 +231,8 @@ class Always(Timed):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Until(Timed):
+    """``right`` holds within the next ``timeout`` instants, and ``left`` at each instant before."""
+
     timeout: int
     left: Formula
     right: Formula
@@ -229,6 +247,8 @@ class Until(Timed):
 
 @dataclass(frozen=True, eq=False, repr=False, slots=True, init=False)
 class Release(Timed):
+    """``right`` holds for the next ``timeout`` instants, or up to and at one where ``left`` holds."""
+
     timeout: int
     left: Formula
     right: Formula

@@ -220,6 +220,7 @@ ILL_FORMED_SCENARIOS = {
         "(scenario (formula true) (formula false) (word (a 0)) (word) (expect T) (expect F))",
         "cannot parse",
     ),
+    "not_utf8": (b"\xff\xfe(scenario)", "cannot read"),
 }
 
 
@@ -227,7 +228,7 @@ ILL_FORMED_SCENARIOS = {
 def test_eval_ill_formed_scenario_exits_two(name, tmp_path, capsys):
     text, message = ILL_FORMED_SCENARIOS[name]
     scenario = tmp_path / f"{name}.sexpr"
-    scenario.write_text(text)
+    scenario.write_bytes(text if isinstance(text, bytes) else text.encode())
     assert main(["eval", str(scenario), "--oracle"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
