@@ -12,7 +12,8 @@ at a time: the harness draws a batch only while the monitor has no verdict,
 so the part of a prefix after the deciding step is never generated.  A pulled
 batch is drawn exactly as in a full draw, so the batches read are the same
 either way.  Any other callable that returns a prefix still works as a prefix
-generator (``batches_of``) and is drawn in full.
+generator (``batches_of``): it is called, drawing its whole prefix, when the
+first batch is pulled.
 """
 
 from __future__ import annotations
@@ -127,10 +128,16 @@ class PrefixGen:
 
 def batches_of(gen: GenFn, rng: random.Random) -> Iterator[Any]:
     """Iterator over the batches of ``gen``'s prefix: pulled on demand from a
-    :class:`PrefixGen`, drawn in full first from any other prefix generator."""
+    :class:`PrefixGen`; any other prefix generator is called, drawing its
+    whole prefix, when the first batch is pulled."""
     if isinstance(gen, PrefixGen):
         return gen.batches(rng)
-    return iter(gen(rng))
+    return _called_at_first_pull(gen, rng)
+
+
+def _called_at_first_pull(gen: GenFn, rng: random.Random) -> Iterator[Any]:
+    """The batches of ``gen(rng)``, called when the first one is pulled."""
+    yield from gen(rng)
 
 
 def always(batch_gen: GenFn, timeout: int) -> PrefixGen:

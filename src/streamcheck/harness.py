@@ -340,17 +340,18 @@ def for_all_stream(
 
     A raise in the generator is a :class:`GeneratorError` at the step whose
     batch was being drawn, named by :func:`_pulled`; a generator that is not
-    a ``PrefixGen`` draws its whole prefix before step 1 (:func:`_draw`), so
-    its raise names step 1.  A refuted case's counterexample holds its whole
-    prefix, so the unread rest is pulled from the same iterator: a raise
-    there turns the refutation into that generator error.
+    a ``PrefixGen`` draws its whole prefix at the first pull, so its raise
+    names step 1, and it is not called for a case decided before step 1
+    that passes.  A refuted case's counterexample holds its whole prefix, so
+    the unread rest is pulled from the same iterator: a raise there turns
+    the refutation into that generator error.
     """
     passed = inconclusive = failed = errors = 0
     counterexample = None
     error_message = None
     for index in range(1, cfg.min_tests_ok + 1):
         try:
-            batches = _pulled(_draw(gen, case_rng(cfg.seed, index)))
+            batches = _pulled(batches_of(gen, case_rng(cfg.seed, index)))
             monitor, word = _run_case(batches, transformation, formula, cfg)
             if monitor.verdict is truth.FALSE:
                 prefix = StreamPrefix([letter.input for letter, _t in word] + list(batches))
@@ -368,8 +369,7 @@ def for_all_stream(
         else:
             failed = 1
             trace = tuple(monitor.trace)
-            failing_step = trace[-1].step if trace else 0
-            counterexample = Counterexample(index, prefix, trace, failing_step)
+            counterexample = Counterexample(index, prefix, trace, len(trace))
             break
     return PropertyReport(
         property_name=property_name,
@@ -382,14 +382,6 @@ def for_all_stream(
         counterexample=counterexample,
         error_message=error_message,
     )
-
-
-def _draw(gen: GenFn, rng: Random) -> Iterable[Batch]:
-    """``batches_of(gen, rng)``, its raise a :class:`GeneratorError` at step 1."""
-    try:
-        return batches_of(gen, rng)
-    except Exception as exc:  # noqa: BLE001 - generators are arbitrary
-        raise GeneratorError(1, exc) from exc
 
 
 def _pulled(batches: Iterable[Any]) -> Iterator[Batch]:

@@ -87,7 +87,8 @@ def generate_word(
     """Generate a word of batches satisfying ``phi``, or ``GEN_ERR``.
 
     ``phi`` must be closed, in next form and inside the generatable fragment;
-    fragment violations raise, plain generation failure returns ``GEN_ERR``.
+    fragment violations, and nesting too deep for the generator's recursion,
+    raise; plain generation failure returns ``GEN_ERR``.
     """
     free, bad = runtime.fold(phi, symbolic.CHILDREN, _scan)
     if free:
@@ -96,8 +97,11 @@ def generate_word(
         template = _NOT_GENERATABLE.get(_kind(bad), "formula is not in next form: {phi!r}")
         raise GeneratorFragmentError(template.format(phi=bad))
     kept: _Kept = []
-    if not _fill(phi, 0, kept, interp, rng, symbolic.NO_BINDINGS):
-        return GEN_ERR
+    try:  # ``_fill`` recurses once per left operand and choice
+        if not _fill(phi, 0, kept, interp, rng, symbolic.NO_BINDINGS):
+            return GEN_ERR
+    except RecursionError:
+        raise GeneratorFragmentError("formula nested too deeply to generate") from None
     word = [set() for _ in range(max((pos for pos, _ in kept), default=-1) + 1)]
     for pos, elements in kept:
         word[pos].update(elements)

@@ -367,7 +367,10 @@ def test_batches_of_plain_callables_draws_in_full():
         return StreamPrefix([Batch([1]), Batch([2])])
 
     batches = gen.batches_of(plain, random.Random(0))
+    assert drawn == []
+    assert next(batches) == Batch([1])
     assert len(drawn) == 1
-    assert list(batches) == [Batch([1]), Batch([2])]
+    assert list(batches) == [Batch([2])]
+    assert len(drawn) == 1
     lazy = gen.always(gen.batch_of_n(1, gen.constant(0)), 2)
     assert list(gen.batches_of(lazy, random.Random(0))) == list(lazy(random.Random(0)))

@@ -634,6 +634,17 @@ class TestGeneratorErrors:
         assert report.error_message.startswith(f"case 1: generator failed at step {step}: ")
         assert "Error(" in report.error_message
 
+    def test_a_plain_callable_is_not_called_for_a_case_decided_before_step_1(self):
+        calls = []
+
+        def raising(rng):
+            calls.append(rng)
+            raise ValueError("never drawn")
+
+        report = for_all_stream(raising, harness.map_elements(str), rt.TOP, CFG)
+        assert (report.cases, report.passed, report.errors) == (CFG.min_tests_ok, CFG.min_tests_ok, 0)
+        assert calls == []
+
     def test_run_test_case_names_the_step_of_the_raising_batch(self):
         def batches():
             yield Batch([1])

@@ -10,6 +10,8 @@ import re
 import weakref
 
 import pytest
+from hypothesis import given, note, settings
+from hypothesis import strategies as st
 
 from streamcheck import harness
 from streamcheck import runtime as rt
@@ -564,6 +566,23 @@ class TestMergeObligations:
                 merges += rt.size(monitor._current) < rt.size(unmerged)
             assert monitor.finish() is semantics.models(word, phi)
         assert merges
+
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_monitor_agrees_with_reference_on_shared_atoms_shrinking(self, rng):
+        """Monitor and reference agree, as in the seeded check above, on the
+        corpus's default sizes drawn through Hypothesis: a failure shrinks to
+        a small formula and word.  The same examples run every time."""
+        atoms = {letter: letter_is(letter) for letter in "abc"}
+        phi = random_runtime_formula(rng, atoms=atoms)
+        word = random_word(rng)
+        note(f"{rt.render(phi)} over {''.join(letter for letter, _ in word)!r}")
+        monitor = rt.Monitor(phi)
+        for letter, time in word:
+            if monitor.verdict is not None:
+                break
+            monitor.step(letter, time)
+        assert monitor.finish() is semantics.judge(word, 1, phi)
 
 
 def _long_word_shapes(n):

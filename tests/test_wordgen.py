@@ -96,6 +96,16 @@ class TestGenerateWord:
         with pytest.raises(wordgen.GeneratorFragmentError):
             generate_word(sym.always(2, rt.TOP), INTERP, random.Random(0))
 
+    def test_nesting_too_deep_to_generate_is_rejected(self):
+        """``c`` is no witness, so each disjunction of the next form is
+        tried; the generator recurses once per level, and past its limit
+        that is a fragment error, not a ``RecursionError``."""
+        interp = sym.Interpretation(INTERP.functions, constants=("a", "b"))
+        phi = {n: sym.next_form(sym.eventually(n, consume_eq("x", "o", "c")), interp) for n in (400, 1000)}
+        assert generate_word(phi[400], interp, random.Random(0)) is GEN_ERR
+        with pytest.raises(wordgen.GeneratorFragmentError, match="^formula nested too deeply to generate$"):
+            generate_word(phi[1000], interp, random.Random(0))
+
 
 class TestRelaxedJudge:
     def test_containment_holds(self):
