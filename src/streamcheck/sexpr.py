@@ -15,6 +15,12 @@ Grammar (``;`` starts a line comment)::
 
 Variables are written with a leading ``?``; bare symbols are nullary function
 applications; integers are natural-number literals.
+
+:func:`parse_node` reads the text in one regex pass into tokens (a comment
+runs from ``;`` to the next line boundary) and one loop over them with a
+stack of the open lists, so it reads any nesting depth.  The builders of
+terms, formulas, words and scenarios recurse over the nodes it returns, and
+nesting past the recursion limit is a :class:`SexprError`.
 """
 
 from __future__ import annotations
@@ -31,8 +37,10 @@ class SexprError(Exception):
     pass
 
 
-_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
-_INT_RE = re.compile(r"^-?\d+$")
+# A parenthesis, a comment or an atom.  A comment runs from ``;`` to the next
+# line boundary that ``str.splitlines`` knows; every such boundary is also
+# whitespace, so it ends an atom too.
+_TOKEN_RE = re.compile(r"[()]|;[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]*|[^\s();]+")
 
 # Head of each form, with its class, its number of leading terms and its
 # number of subformulas.  Parsing and formatting both read this table.
@@ -60,42 +68,36 @@ _RESERVED = {*_FORMS, *_CONSTANTS, "consume", "word", "scenario", "formula", "ex
 Node = Union[str, int, List["Node"]]
 
 
-def _tokenize(text: str) -> List[str]:
-    tokens: List[str] = []
-    for line in text.splitlines():
-        line = line.split(";", 1)[0]
-        tokens.extend(_TOKEN_RE.findall(line))
-    return tokens
-
-
 def parse_node(text: str) -> Node:
-    tokens = _tokenize(text)
-    node, rest = _parse(tokens, 0)
-    if rest != len(tokens):
+    """Read one expression: one regex pass splits the text into tokens, and
+    one loop over them, with a stack of the open lists, builds the nodes, so
+    nesting depth costs no recursion.  Comment tokens are skipped."""
+    tokens = iter(_TOKEN_RE.findall(text))
+    stack: List[List[Node]] = []  # the items read so far of each open list
+    for token in tokens:
+        if token == "(":
+            stack.append([])
+            continue
+        if token == ")":
+            if not stack:
+                raise SexprError("unexpected ')'")
+            node: Node = stack.pop()
+        elif token[0] == ";":
+            continue
+        elif token.isdecimal():
+            node = int(token)
+        elif token[0] == "-" and token[1:].isdecimal():
+            raise SexprError(f"literals are natural numbers, got {token}")
+        else:
+            node = token
+        if not stack:
+            break
+        stack[-1].append(node)
+    else:
+        raise SexprError("unbalanced parenthesis" if stack else "unexpected end of input")
+    if any(token[0] != ";" for token in tokens):
         raise SexprError("trailing input after expression")
     return node
-
-
-def _parse(tokens: List[str], pos: int) -> Tuple[Node, int]:
-    if pos >= len(tokens):
-        raise SexprError("unexpected end of input")
-    token = tokens[pos]
-    if token == "(":
-        items: List[Node] = []
-        pos += 1
-        while pos < len(tokens) and tokens[pos] != ")":
-            item, pos = _parse(tokens, pos)
-            items.append(item)
-        if pos >= len(tokens):
-            raise SexprError("unbalanced parenthesis")
-        return items, pos + 1
-    if token == ")":
-        raise SexprError("unexpected ')'")
-    if _INT_RE.match(token):
-        if token.startswith("-"):
-            raise SexprError(f"literals are natural numbers, got {token}")
-        return int(token), pos + 1
-    return token, pos + 1
 
 
 def _as_var(node: Node) -> str:
@@ -144,10 +146,22 @@ def word_from_node(node: Node) -> List[Tuple[Term, int]]:
         if item[1] < 0 or (letters and item[1] < letters[-1][1]):
             raise SexprError("timestamps must be non-negative and non-decreasing")
         term = term_from_node(item[0])
-        if symbolic.term_free_vars(term):
+        if not _closed(term):
             raise SexprError(f"letter must be a closed term, got {item[0]!r}")
         letters.append((term, item[1]))
     return letters
+
+
+def _closed(term: Term) -> bool:
+    """Whether ``term`` has no variable, walked on a stack of its arguments."""
+    stack = [term]
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Var):
+            return False
+        if isinstance(term, App):
+            stack.extend(term.args)
+    return True
 
 
 def scenario_from_node(node: Node) -> Tuple[SymFormula, List[Tuple[Term, int]], Verdict]:
@@ -156,7 +170,7 @@ def scenario_from_node(node: Node) -> Tuple[SymFormula, List[Tuple[Term, int]], 
     formula = word = expect = None
     seen = set()
     for item in node[1:]:
-        if not isinstance(item, list) or not item:
+        if not isinstance(item, list) or not item or not isinstance(item[0], str):
             raise SexprError(f"bad scenario entry {item!r}")
         if item[0] in seen:
             raise SexprError(f"repeated scenario entry {item[0]!r}")
@@ -188,7 +202,7 @@ def parse_scenario(text: str) -> Tuple[SymFormula, List[Tuple[Term, int]], Verdi
 
 
 def _read(text: str, build: Callable[[Node], Any]) -> Any:
-    # The reader and the formula builder recurse once per nesting level.
+    # The reader loops; the builders recurse once per nesting level.
     try:
         return build(parse_node(text))
     except RecursionError:

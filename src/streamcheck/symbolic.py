@@ -236,12 +236,24 @@ def term_constants(term: Term) -> Set[str]:
 
 
 def constants(phi: SymFormula) -> Set[str]:
-    """Nullary function symbols of a formula, timeout terms included."""
-    return runtime.fold(phi, CHILDREN, _node_constants)
+    """Nullary function symbols of a formula, timeout terms included.
 
-
-def _node_constants(phi: SymFormula, kid_constants: Sequence[Set[str]]) -> Set[str]:
-    return set().union(*kid_constants, *map(term_constants, node_terms(phi)))
+    They are collected into one set, on one explicit stack that holds both
+    subformulas and the terms of the nodes walked.
+    """
+    out: Set[str] = set()
+    stack: list = [phi]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, App):
+            if node.args:
+                stack.extend(node.args)
+            else:
+                out.add(node.symbol)
+        elif not isinstance(node, Term):
+            stack.extend(CHILDREN.get(type(node), runtime.no_children)(node))
+            stack.extend(node_terms(node))
+    return out
 
 
 def substitute_term(term: Term, bindings: Mapping[str, Term]) -> Term:

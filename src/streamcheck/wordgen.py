@@ -9,16 +9,18 @@ declared constant pool.  The word is built once, from the records kept.
 
 The negation operator and the false and inconclusive verdict leaves are
 outside the generatable fragment, as is any consume whose time variable occurs
-in the body (times are attached later by the harness clock).
+in the body (times are attached later by the harness clock).  Before it
+generates, one pre-order walk on an explicit stack checks that the formula is
+closed and inside the fragment, without building a set per node.
 """
 
 from __future__ import annotations
 
 import random
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import runtime, symbolic, truth
-from .symbolic import App, Env, Interpretation, SymFormula
+from .symbolic import App, Env, Interpretation, SymFormula, Var
 from .truth import Verdict
 
 
@@ -66,19 +68,68 @@ _NOT_GENERATABLE = {
 }
 
 
-_Scan = Tuple[Set[str], Optional[SymFormula]]
+# Pushed below a consume's body: once the body is walked, the walk is back in
+# the scope outside the consume.
+_LEAVE = object()
 
 
-def _scan(phi: SymFormula, kids: Sequence[_Scan]) -> _Scan:
-    """Free variables of ``phi`` and its first node outside the fragment, in pre-order."""
-    free = symbolic.node_free_vars(phi, [kid_free for kid_free, _ in kids])
-    kind = _kind(phi)
-    if kind not in _GENERATABLE or (kind is symbolic.Consume and phi.time_var in kids[0][0]):
-        return free, phi
-    for _, bad in kids:
-        if bad is not None:
-            return free, bad
-    return free, None
+def _check(phi: SymFormula) -> None:
+    """Raise unless ``phi`` is closed and inside the generatable fragment.
+
+    One pre-order walk on an explicit stack, in the scope of the enclosing
+    consumes: it maps each bound time variable to its consume and that
+    consume's pre-order index, and each bound letter variable to ``None``
+    (the time variable wins when a consume binds one name twice).  A node's
+    terms are walked on a small stack of their own, and no set is built.  An
+    open formula is reported before any fragment error, and the fragment
+    error names the first offending node in pre-order, where a consume whose
+    time variable occurs free in its body counts at its own position.
+    """
+    closed = True
+    bad: Optional[SymFormula] = None
+    bad_at = 0
+    index = -1  # the pre-order index of ``node``
+    scope: Dict[str, Optional[Tuple[int, SymFormula]]] = {}
+    outer: list = []  # the scopes of the consumes being walked
+    stack: list = [phi]
+    while stack:
+        node = stack.pop()
+        if node is _LEAVE:
+            scope = outer.pop()
+            continue
+        index += 1
+        kind = type(node)
+        children = symbolic.CHILDREN.get(kind)
+        if children is None:
+            raise symbolic.SymbolicError(f"unknown formula {node!r}")
+        if bad is None and (node.value if kind is runtime.Solved else kind) not in _GENERATABLE:
+            bad, bad_at = node, index
+        if kind is symbolic.Consume:
+            outer.append(scope)
+            scope = {**scope, node.var: None, node.time_var: (index, node)}
+            stack += (_LEAVE, node.body)
+            continue
+        stack.extend(reversed(children(node)))
+        terms = symbolic.node_terms(node)
+        if not terms:
+            continue
+        pending = list(terms)
+        while pending:
+            term = pending.pop()
+            if isinstance(term, Var):
+                if term.name not in scope:
+                    closed = False
+                    continue
+                binder = scope[term.name]
+                if binder is not None and (bad is None or binder[0] < bad_at):
+                    bad_at, bad = binder
+            elif isinstance(term, App):
+                pending.extend(term.args)
+    if not closed:
+        raise GeneratorFragmentError("formula must be closed")
+    if bad is not None:
+        template = _NOT_GENERATABLE.get(_kind(bad), "formula is not in next form: {phi!r}")
+        raise GeneratorFragmentError(template.format(phi=bad))
 
 
 def generate_word(
@@ -90,12 +141,7 @@ def generate_word(
     fragment violations, and nesting too deep for the generator's recursion,
     raise; plain generation failure returns ``GEN_ERR``.
     """
-    free, bad = runtime.fold(phi, symbolic.CHILDREN, _scan)
-    if free:
-        raise GeneratorFragmentError("formula must be closed")
-    if bad is not None:
-        template = _NOT_GENERATABLE.get(_kind(bad), "formula is not in next form: {phi!r}")
-        raise GeneratorFragmentError(template.format(phi=bad))
+    _check(phi)
     kept: _Kept = []
     try:  # ``_fill`` recurses once per left operand and choice
         if not _fill(phi, 0, kept, interp, rng, symbolic.NO_BINDINGS):

@@ -220,6 +220,7 @@ ILL_FORMED_SCENARIOS = {
         "(scenario (formula true) (formula false) (word (a 0)) (word) (expect T) (expect F))",
         "cannot parse",
     ),
+    "entry_head_is_a_list": ("(scenario ((a) 1))", "cannot parse"),
     "not_utf8": (b"\xff\xfe(scenario)", "cannot read"),
 }
 

@@ -66,6 +66,26 @@ class TestParsing:
         with pytest.raises(sexpr.SexprError, match="closed term"):
             sexpr.word_from_node(sexpr.parse_node("(word (a 0) ((plus ?o 1) 5))"))
 
+    @pytest.mark.parametrize("boundary", ["\r", "\f", "\v", "\x1c", "\x85", "\u2028"])
+    def test_a_comment_ends_at_any_line_boundary(self, boundary):
+        assert sexpr.parse_node(f"(p a ; c d{boundary} b)") == ["p", "a", "b"]
+
+    def test_a_comment_may_follow_a_token_directly(self):
+        assert sexpr.parse_node("(p a;c\n)") == ["p", "a"]
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "unexpected end of input"),
+            (")", "unexpected '\\)'"),
+            ("(a (b)", "unbalanced parenthesis"),
+            ("a b", "trailing input after expression"),
+        ],
+    )
+    def test_reader_errors(self, text, message):
+        with pytest.raises(sexpr.SexprError, match=message):
+            sexpr.parse_node(text)
+
     def test_deep_nesting_is_a_parse_error(self):
         deep = "(next " * 1200 + "true" + ")" * 1200
         with pytest.raises(sexpr.SexprError, match="nested too deeply"):

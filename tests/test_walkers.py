@@ -609,6 +609,13 @@ ODD_SYMBOLIC = [
     sym.until(sym.App("mystery"), OPEN_TIMEOUT, sym.pred("leq", 1, 2)),
     sym.Consume("x", "x", sym.Next(sym.Eq(sym.Var("x"), sym.App("a")))),
     sym.Consume("x", "o", sym.Always(sym.Var("o"), sym.Eq(sym.Var("x"), sym.App("b")))),
+    # The time variable leaks below an earlier negation: the consume comes
+    # first in pre-order, so it is the node reported.
+    sym.Consume("x", "o", sym.And(sym.Not(rt.TOP), sym.Eq(sym.Var("o"), sym.App("a")))),
+    # An inner consume rebinds the outer time variable, which shields it.
+    sym.Consume("x", "o", sym.Consume("o", "p", sym.Eq(sym.Var("o"), sym.App("a")))),
+    # The only free variable is inside a symbolic timeout.
+    sym.And(rt.TOP, sym.eventually(sym.App("plus", (sym.Var("y"), sym.Lit(1))), rt.TOP)),
 ]
 
 
