@@ -200,12 +200,11 @@ def default_interpretation(phi: symbolic.SymFormula, word) -> symbolic.Interpret
     with built-in arithmetic (`plus`) and ordering (`leq`)."""
     from . import symbolic
 
-    symbols = symbolic.constants(phi).union(*(symbolic.term_constants(term) for term, _ in word))
-    symbols -= _ARITHMETIC.keys()
-    functions = {name: (lambda name=name: name) for name in sorted(symbols)}
+    names = sorted(symbolic.constants(phi, *(term for term, _ in word)) - _ARITHMETIC.keys())
+    functions = {name: (lambda name=name: name) for name in names}
     functions.update(_ARITHMETIC)
     return symbolic.Interpretation(
-        functions=functions, predicates=dict(_PRED_BUILTINS), constants=tuple(sorted(symbols))
+        functions=functions, predicates=dict(_PRED_BUILTINS), constants=tuple(names)
     )
 
 

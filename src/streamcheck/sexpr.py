@@ -146,22 +146,10 @@ def word_from_node(node: Node) -> List[Tuple[Term, int]]:
         if item[1] < 0 or (letters and item[1] < letters[-1][1]):
             raise SexprError("timestamps must be non-negative and non-decreasing")
         term = term_from_node(item[0])
-        if not _closed(term):
+        if next(symbolic.term_vars((term,)), None) is not None:
             raise SexprError(f"letter must be a closed term, got {item[0]!r}")
         letters.append((term, item[1]))
     return letters
-
-
-def _closed(term: Term) -> bool:
-    """Whether ``term`` has no variable, walked on a stack of its arguments."""
-    stack = [term]
-    while stack:
-        term = stack.pop()
-        if isinstance(term, Var):
-            return False
-        if isinstance(term, App):
-            stack.extend(term.args)
-    return True
 
 
 def scenario_from_node(node: Node) -> Tuple[SymFormula, List[Tuple[Term, int]], Verdict]:

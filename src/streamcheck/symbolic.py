@@ -14,13 +14,19 @@ runtime node types, here over symbolic operands, and the constants ``true``
 and ``false`` are the runtime verdict leaves ``TOP`` and ``BOTTOM``.  Only the
 atoms, the timed operators (their timeouts are terms) and ``Consume`` are
 classes of this module.
+
+Which variables a node's terms hold is asked of one walk, :func:`term_vars`,
+on an explicit stack; :func:`constants` collects the nullary symbols of any
+number of formulas and terms on one stack.  The other term walks
+(:func:`substitute_term`, :func:`eval_term` and a term's dataclass ``repr``)
+recurse once per nesting level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import is_not
-from typing import Any, Callable, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from . import runtime, semantics
 from .runtime import BOTTOM, TOP, And, Implies, Next, Not, Or, Solved
@@ -198,14 +204,24 @@ Env = Mapping[str, Term]
 NO_BINDINGS: Env = {}
 
 
-def term_free_vars(term: Term, env: Env = NO_BINDINGS) -> Set[str]:
-    """Free variables of ``term`` once each name bound in ``env`` stands for its term."""
-    if isinstance(term, Var):
-        bound = env.get(term.name)
-        return {term.name} if bound is None else term_free_vars(bound)
-    if isinstance(term, App) and term.args:
-        return set().union(*[term_free_vars(arg, env) for arg in term.args])
-    return set()
+def term_vars(terms: Sequence[Term], env: Env = NO_BINDINGS) -> Iterator[str]:
+    """The variable names of ``terms``, in pre-order, walked on one explicit stack.
+
+    A name bound in ``env`` stands for the variables of its bound term, which
+    are not looked up in ``env`` again.  A node's terms are walked in one call.
+    """
+    stack = list(terms)
+    stack.reverse()
+    while stack:
+        term = stack.pop()
+        if isinstance(term, Var):
+            bound = env.get(term.name)
+            if bound is None:
+                yield term.name
+            else:
+                yield from term_vars((bound,))
+        elif isinstance(term, App) and term.args:
+            stack.extend(reversed(term.args))
 
 
 def node_free_vars(phi: SymFormula, kid_vars: Sequence[Set[str]]) -> Set[str]:
@@ -216,8 +232,7 @@ def node_free_vars(phi: SymFormula, kid_vars: Sequence[Set[str]]) -> Set[str]:
     if kind not in CHILDREN:
         raise SymbolicError(f"unknown formula {phi!r}")
     out = set().union(*kid_vars)
-    for term in node_terms(phi):
-        out |= term_free_vars(term)
+    out.update(term_vars(node_terms(phi)))
     return out
 
 
@@ -226,23 +241,14 @@ def free_vars(phi: SymFormula) -> Set[str]:
     return runtime.fold(phi, CHILDREN, node_free_vars)
 
 
-def term_constants(term: Term) -> Set[str]:
-    """Nullary function symbols of a term."""
-    if not isinstance(term, App):
-        return set()
-    if not term.args:
-        return {term.symbol}
-    return set().union(*map(term_constants, term.args))
-
-
-def constants(phi: SymFormula) -> Set[str]:
-    """Nullary function symbols of a formula, timeout terms included.
+def constants(*roots: Union[SymFormula, Term]) -> Set[str]:
+    """Nullary function symbols of formulas and terms, timeout terms included.
 
     They are collected into one set, on one explicit stack that holds both
     subformulas and the terms of the nodes walked.
     """
     out: Set[str] = set()
-    stack: list = [phi]
+    stack: list = list(roots)
     while stack:
         node = stack.pop()
         if isinstance(node, App):
@@ -448,7 +454,7 @@ def _lowering(interp: Interpretation, env: Env, error: Any = None, reason: str =
     timeout with variables ``env`` does not bind raises it first."""
 
     def lower(node: SymFormula) -> Tuple[runtime.Formula]:
-        if error is not None and term_free_vars(node.timeout, env):
+        if error is not None and next(term_vars((node.timeout,), env), None) is not None:
             raise error(f"{reason}: variables in timeout {node.timeout!r}")
         return (_lower_window(node, interp, False, env),)
 
@@ -543,9 +549,10 @@ def _compile(phi: SymFormula, interp: Interpretation, env: Env) -> runtime.Formu
         if kind is Solved:
             return node
         if isinstance(node, (Pred, Eq)):
-            unbound = set().union(*[term_free_vars(term, env) for term in node_terms(node)])
-            if unbound:
-                raise OpenFormula(f"atom has free variables {sorted(unbound)}")
+            names = term_vars(node_terms(node), env)
+            first = next(names, None)
+            if first is not None:
+                raise OpenFormula(f"atom has free variables {sorted({first, *names})}")
             # A fresh leaf: ``merge_obligations`` compares operands by identity.
             return Solved(Verdict.from_bool(_holds(node, interp, False, env)))
         if isinstance(node, Consume):

@@ -20,7 +20,7 @@ import random
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from . import runtime, symbolic, truth
-from .symbolic import App, Env, Interpretation, SymFormula, Var
+from .symbolic import App, Env, Interpretation, SymFormula
 from .truth import Verdict
 
 
@@ -80,7 +80,7 @@ def _check(phi: SymFormula) -> None:
     consumes: it maps each bound time variable to its consume and that
     consume's pre-order index, and each bound letter variable to ``None``
     (the time variable wins when a consume binds one name twice).  A node's
-    terms are walked on a small stack of their own, and no set is built.  An
+    variables come from :func:`symbolic.term_vars`, and no set is built.  An
     open formula is reported before any fragment error, and the fragment
     error names the first offending node in pre-order, where a consume whose
     time variable occurs free in its body counts at its own position.
@@ -113,18 +113,13 @@ def _check(phi: SymFormula) -> None:
         terms = symbolic.node_terms(node)
         if not terms:
             continue
-        pending = list(terms)
-        while pending:
-            term = pending.pop()
-            if isinstance(term, Var):
-                if term.name not in scope:
-                    closed = False
-                    continue
-                binder = scope[term.name]
-                if binder is not None and (bad is None or binder[0] < bad_at):
-                    bad_at, bad = binder
-            elif isinstance(term, App):
-                pending.extend(term.args)
+        for name in symbolic.term_vars(terms):
+            if name not in scope:
+                closed = False
+                continue
+            binder = scope[name]
+            if binder is not None and (bad is None or binder[0] < bad_at):
+                bad_at, bad = binder
     if not closed:
         raise GeneratorFragmentError("formula must be closed")
     if bad is not None:

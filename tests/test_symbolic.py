@@ -160,6 +160,16 @@ class TestCompile:
         with pytest.raises(sym.OpenFormula):
             sym.compile_formula(sym.eq(sym.Var("x"), "a"), INTERP)
 
+    def test_open_letter_keeps_its_variables(self):
+        """A bound name stands for the variables of its letter, which the
+        consume's own bindings do not close."""
+        phi = consume("x", "o", sym.eq(sym.Var("x"), "a"))
+        for name in "yo":
+            monitor = rt.Monitor(sym.compile_formula(phi, INTERP))
+            with pytest.raises(sym.OpenFormula) as raised:
+                monitor.step(sym.Var(name), 0)
+            assert str(raised.value) == f"atom has free variables [{name!r}]"
+
     def test_uninterpreted_predicate_rejected(self):
         with pytest.raises(sym.UninterpretedSymbol):
             sym.compile_formula(sym.pred("mystery", 1), sym.Interpretation())

@@ -186,8 +186,27 @@ class _Recursive:
     # -- symbolic -----------------------------------------------------------
 
     @staticmethod
+    def term_free_vars(term, env=sym.NO_BINDINGS):
+        """Free variables of ``term`` once each name bound in ``env`` stands for its term."""
+        if isinstance(term, sym.Var):
+            bound = env.get(term.name)
+            return {term.name} if bound is None else _Recursive.term_free_vars(bound)
+        if isinstance(term, sym.App) and term.args:
+            return set().union(*[_Recursive.term_free_vars(arg, env) for arg in term.args])
+        return set()
+
+    @staticmethod
+    def term_constants(term):
+        """Nullary function symbols of a term."""
+        if not isinstance(term, sym.App):
+            return set()
+        if not term.args:
+            return {term.symbol}
+        return set().union(*map(_Recursive.term_constants, term.args))
+
+    @staticmethod
     def free_vars(phi):
-        fv, tfv = _Recursive.free_vars, sym.term_free_vars
+        fv, tfv = _Recursive.free_vars, _Recursive.term_free_vars
         if isinstance(phi, rt.Solved):
             return set()
         if isinstance(phi, sym.Pred):
@@ -208,7 +227,7 @@ class _Recursive:
 
     @staticmethod
     def constants(phi):
-        c, tc = _Recursive.constants, sym.term_constants
+        c, tc = _Recursive.constants, _Recursive.term_constants
         if isinstance(phi, sym.Pred):
             return set().union(*map(tc, phi.args))
         if isinstance(phi, sym.Eq):
@@ -269,7 +288,7 @@ class _Recursive:
         if isinstance(phi, (sym.Next, sym.Consume)):
             return swl(phi.body, interp) + 1
         if isinstance(phi, (sym.Eventually, sym.Always, sym.Until, sym.Release)):
-            if sym.term_free_vars(phi.timeout):
+            if _Recursive.term_free_vars(phi.timeout):
                 raise rt.SafeLengthUndefined(
                     f"safe word length undefined: variables in timeout {phi.timeout!r}"
                 )
@@ -293,7 +312,7 @@ class _Recursive:
         if isinstance(phi, sym.Consume):
             return sym.Consume(phi.var, phi.time_var, nf(phi.body, interp))
         if isinstance(phi, (sym.Eventually, sym.Always, sym.Until, sym.Release)):
-            if sym.term_free_vars(phi.timeout):
+            if _Recursive.term_free_vars(phi.timeout):
                 raise sym.OpenFormula(
                     f"cannot expand ahead of time: variables in timeout {phi.timeout!r}"
                 )
@@ -982,6 +1001,19 @@ def test_symbolic_route_has_no_recursion_cliff():
     with pytest.raises(wordgen.GeneratorFragmentError, match="closed"):
         open_body = sym.Not(sym.eq(sym.Var("y"), "a"))
         wordgen.generate_word(sym.next_form(sym.eventually(DEEP, open_body), INTERP), INTERP, None)
+
+
+def test_open_term_walk_has_no_recursion_cliff():
+    """Terms are walked for their variables on an explicit stack.  A term this
+    deep still recurses in its dataclass ``repr``, so ``next_form`` and the
+    symbolic safe length, which show an open timeout, are not called here."""
+    deep = X
+    for _ in range(DEEP):
+        deep = sym.App("s", (deep,))
+    assert sym.free_vars(sym.eventually(deep, rt.TOP)) == {"x"}
+    with pytest.raises(sym.OpenFormula) as raised:
+        sym.compile_formula(sym.eq(deep, "a"), INTERP)
+    assert str(raised.value) == "atom has free variables ['x']"
 
 
 def test_word_generation_has_no_recursion_cliff():
