@@ -17,16 +17,17 @@ classes of this module.
 
 Which variables a node's terms hold is asked of one walk, :func:`term_vars`,
 on an explicit stack; :func:`constants` collects the nullary symbols of any
-number of formulas and terms on one stack.  The other term walks
-(:func:`substitute_term`, :func:`eval_term` and a term's dataclass ``repr``)
-recurse once per nesting level.
+number of formulas and terms on one stack, and a term's ``repr`` is a fold.
+The other term walks (:func:`substitute_term`, :func:`eval_term`) recurse
+once per nesting level.  A safe word length is measured in one place, on the
+symbolic formula (:func:`symbolic_safe_word_length`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import is_not
-from typing import Any, Callable, Iterator, Mapping, Optional, Sequence, Set, Tuple, Union
+from operator import attrgetter, is_not
+from typing import Any, Callable, Iterator, Mapping, Sequence, Set, Tuple, Union
 
 from . import runtime, semantics
 from .runtime import BOTTOM, TOP, And, Implies, Next, Not, Or, Solved
@@ -52,20 +53,23 @@ class OpenFormula(SymbolicError):
 class Term:
     __slots__ = ()
 
+    def __repr__(self) -> str:  # the dataclass ``repr``, on an explicit stack
+        return runtime.join_text(runtime.fold(self, _TERM_ARGS, _repr_term))
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Lit(Term):
     """Natural-number literal; interprets to itself."""
 
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class App(Term):
     """Function symbol application; constants are nullary applications."""
 
@@ -73,11 +77,27 @@ class App(Term):
     args: Tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class Const(Term):
     """Opaque already-evaluated value injected into a term position."""
 
     value: Any
+
+
+_TERM_ARGS = {App: attrgetter("args")}
+
+
+def _repr_term(term: Any, kids: Sequence[Any]) -> Any:
+    """The dataclass ``repr`` of one term, as a rope over its arguments' ropes."""
+    kind = type(term)
+    if kind is App:
+        args = [part for kid in kids for part in (", ", kid)][1:]
+        return ("App(symbol=", repr(term.symbol), ", args=(", *args, ",))" if len(kids) == 1 else "))")
+    if kind is Var:
+        return f"Var(name={term.name!r})"
+    if kind is Lit or kind is Const:
+        return f"{kind.__qualname__}(value={term.value!r})"
+    return repr(term)  # an argument that is not a term
 
 
 TermLike = Union[Term, int, str]
@@ -473,31 +493,11 @@ def _safe_length_node(node: SymFormula, kids: Sequence[int]) -> int:
     return length + (node.timeout - 1) if kind in runtime._TIMED else length
 
 
-def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation, env: Env = NO_BINDINGS) -> int:
-    """Safe word length; undefined when a timeout term has variables ``env`` does not bind.
-
-    A consume that rebinds a name of ``env`` is a leaf of the walk: its body
-    is measured at once, under ``env`` without the consume's two names, as
-    :func:`substitute` leaves that name open in it.  Every other node is
-    measured by :func:`_safe_length_node`.
-    """
-    table = _lowering(interp, env, runtime.SafeLengthUndefined, "safe word length undefined")
-
-    def measure(node: SymFormula, kids: Sequence[int]) -> int:
-        if type(node) is Consume and not kids:
-            rest = {k: v for k, v in env.items() if k != node.var and k != node.time_var}
-            return symbolic_safe_word_length(node.body, interp, rest) + 1
-        return _safe_length_node(node, kids)
-
-    table[Consume] = lambda node: () if node.var in env or node.time_var in env else (node.body,)
-    return runtime.fold(phi, table, measure)
-
-
-def _static_depth(consume: Consume, interp: Interpretation, env: Env = NO_BINDINGS) -> Optional[int]:
-    try:
-        return symbolic_safe_word_length(consume, interp, env)
-    except runtime.SafeLengthUndefined:
-        return None
+def symbolic_safe_word_length(phi: SymFormula, interp: Interpretation) -> int:
+    """Safe word length, the only one of a formula with a consume (a compiled
+    consume has no static depth); undefined when a timeout term has variables."""
+    table = _lowering(interp, NO_BINDINGS, runtime.SafeLengthUndefined, "safe word length undefined")
+    return runtime.fold(phi, table, _safe_length_node)
 
 
 _ALGEBRA = (Or, And, Next)
@@ -532,7 +532,8 @@ def compile_formula(phi: SymFormula, interp: Interpretation) -> runtime.Formula:
     body is not rewritten (:func:`judge` substitutes instead).  A verdict
     leaf is a runtime node already and is returned itself.  Atoms and
     consumes are leaves of the walk, so a window's timeout is evaluated
-    before its operands, and atoms in pre-order.
+    before its operands, and atoms in pre-order.  A compiled consume has no
+    static depth, so a timeout under it is evaluated once per firing.
     """
     return _compile(phi, interp, NO_BINDINGS)
 
@@ -563,10 +564,7 @@ def _compile(phi: SymFormula, interp: Interpretation, env: Env) -> runtime.Formu
                 # The letter wins when both binders share a name.
                 return _compile(body, interp, {**env, time_var: Lit(time), var: letter_term})
 
-            # The consume's own safe length leaves its names open until it fires.
-            return runtime.Consume(
-                consumer, static_depth=_static_depth(node, interp, env), label=f"consume {var}"
-            )
+            return runtime.Consume(consumer, label=f"consume {var}")
         raise SymbolicError(f"unknown formula {node!r}")
 
     table = _lowering(interp, env)

@@ -116,6 +116,16 @@ class TestSubstitute:
         assert bound.left.timeout is timeout and bound.right is phi.right
 
 
+def test_a_term_prints_as_its_dataclass():
+    """A term's ``repr`` is a fold that gives the dataclass ``repr`` byte for
+    byte, a one-argument tuple's trailing comma included."""
+    term = sym.App("f", (sym.Lit(1), sym.App("a"), sym.Const(None), sym.App("g", (sym.Var("x"),))))
+    assert repr(term) == (
+        "App(symbol='f', args=(Lit(value=1), App(symbol='a', args=()), Const(value=None), "
+        "App(symbol='g', args=(Var(name='x'),))))"
+    )
+
+
 class TestEvalTerm:
     def test_function_application(self):
         term = sym.App("plus", (sym.Lit(1), sym.Lit(2)))
@@ -175,34 +185,15 @@ class TestCompile:
             sym.compile_formula(sym.pred("mystery", 1), sym.Interpretation())
 
     def test_static_depth_from_concrete_timeouts(self):
+        """A compiled consume has no static depth; the safe length is the
+        symbolic formula's."""
         phi = consume("x", "o", sym.always(3, sym.eq(sym.Var("x"), "a")))
         compiled = sym.compile_formula(phi, INTERP)
         assert isinstance(compiled, rt.Consume)
-        assert compiled.static_depth == 3
-        assert rt.safe_word_length(compiled) == 3
-
-    def test_static_depth_bounds_consumer_results(self):
-        """The declared depth covers the safe word length of whatever the
-        consumer returns, plus one, for every letter (compile-time constant
-        folding may shrink a particular result below the declared bound, which
-        keeps the bound sufficient).  A zero window inspects no instant, so
-        a consume over one has depth 1."""
-        rng = random.Random(23)
-        zero_window = consume("x", "o", sym.always(0, sym.pred("q", sym.Var("x"))))
-        checked = 0
-        while checked <= 100:
-            if checked < 100:
-                phi = random_symbolic_formula(rng, depth=4, variable_timeouts=False)
-            else:
-                phi = zero_window
-            compiled = sym.compile_formula(phi, INTERP)
-            if not isinstance(compiled, rt.Consume):
-                continue
-            assert compiled.static_depth is not None
-            for letter in ("a", "b", "c"):
-                result = compiled.consumer(sym.App(letter), rng.randint(0, 9))
-                assert rt.safe_word_length(result) + 1 <= compiled.static_depth
-            checked += 1
+        assert compiled.static_depth is None
+        with pytest.raises(rt.SafeLengthUndefined):
+            rt.safe_word_length(compiled)
+        assert sym.symbolic_safe_word_length(phi, INTERP) == 3
 
     def test_variable_timeout_has_no_static_depth(self):
         timeout = sym.App("plus", (sym.Var("o"), sym.Lit(6)))
@@ -252,7 +243,21 @@ def test_a_zero_window_is_decided_before_its_operands(window, leaf, operand):
         assert sym.judge(word, 1, phi, INTERP) is leaf.value
     assert sym.next_form(phi, INTERP) is leaf
     assert sym.symbolic_safe_word_length(phi, INTERP) == 0
-    assert sym.compile_formula(consume("x", "o", phi), INTERP).static_depth == 1
+    assert sym.symbolic_safe_word_length(consume("x", "o", phi), INTERP) == 1
+
+
+def test_symbolic_safe_word_length_guarantees_decision():
+    """The symbolic twin of acceptance criterion 4: on a word of exactly the
+    safe word length, the direct judgment is decided and the compiled
+    monitor agrees with it."""
+    rng = random.Random(4097)
+    for _ in range(1000):
+        phi = random_symbolic_formula(rng, depth=4, variable_timeouts=False)
+        length = sym.symbolic_safe_word_length(phi, INTERP)
+        word = [(sym.App(rng.choice("abc")), 2 * i) for i in range(length)]
+        verdict = sym.judge(word, 1, phi, INTERP)
+        assert verdict.is_decided()
+        assert monitor_verdict(sym.compile_formula(phi, INTERP), word) is verdict
 
 
 def test_symbolic_safe_word_length_matches_examples():
@@ -285,7 +290,8 @@ ROUTES = {
 @pytest.mark.parametrize("length", [0, 3])
 def test_a_timeout_is_evaluated_once(route, window, length):
     """Every route lowers a window once, so a user function in its timeout
-    runs once per window."""
+    runs once per window.  Under a consume, a compile evaluates no timeout:
+    the consume's first firing does, once."""
     calls = []
 
     def plus(x, y):
@@ -293,7 +299,14 @@ def test_a_timeout_is_evaluated_once(route, window, length):
         return x + y
 
     interp = sym.Interpretation({**INTERP.functions, "plus": plus}, INTERP.predicates)
-    route(window(sym.App("plus", (sym.Lit(length), sym.Lit(0))), sym.eq("a", "a")), interp)
+    timed = window(sym.App("plus", (sym.Lit(length), sym.Lit(0))), sym.eq("a", "a"))
+    route(timed, interp)
+    assert calls == [(length, 0)]
+    calls.clear()
+    under = route(consume("x", "o", timed), interp)
+    if route is sym.compile_formula:
+        assert calls == []
+        rt.Monitor(under).step(sym.App("a"), 0)
     assert calls == [(length, 0)]
 
 
@@ -313,7 +326,7 @@ def test_a_runtime_window_over_symbolic_operands(kind, arity):
     expanded = sym.next_form(phi, INTERP)
     assert expanded == sym.next_form(twin, INTERP)
     length = sym.symbolic_safe_word_length(phi, INTERP)
-    assert length == sym.symbolic_safe_word_length(twin, INTERP) == rt.safe_word_length(compiled)
+    assert length == sym.symbolic_safe_word_length(twin, INTERP)
     for n in range(length + 1):
         for letters in itertools.product("abc", repeat=n):
             word = [(sym.App(letter), time) for time, letter in enumerate(letters)]

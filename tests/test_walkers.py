@@ -381,9 +381,7 @@ class _Recursive:
                 bound = sym.substitute(body, {time_var: sym.Lit(time), var: letter_term})
                 return _Recursive.compile_formula(bound, interp)
 
-            return rt.Consume(
-                consumer, static_depth=sym._static_depth(phi, interp), label=f"consume {var}"
-            )
+            return rt.Consume(consumer, label=f"consume {var}")
         raise sym.SymbolicError(f"unknown formula {phi!r}")
 
     @staticmethod
@@ -740,11 +738,11 @@ def compiled_consumes(formula):
 
 
 def compiled_view(compiled):
-    """A compiled formula as text and size with each consume's label and
-    static depth; the outcome of a call that raised, itself."""
+    """A compiled formula as text and size with each consume's label; the
+    outcome of a call that raised, itself."""
     if not isinstance(compiled, rt.Formula):
         return compiled
-    consumes = [(node.label, node.static_depth) for node in compiled_consumes(compiled)]
+    consumes = [node.label for node in compiled_consumes(compiled)]
     return rt.render(compiled), rt.size(compiled), consumes
 
 
@@ -785,12 +783,12 @@ SHADOWING = [
         "x", "o", sym.Next(sym.Or(sym.Consume("x", "p", sym.eq(X, "b")), sym.Next(sym.eq(X, "a"))))
     ),
     # An inner consume rebinds the time variable an outer timeout reads: its
-    # own timeout reads the inner time, and its body has no static depth.
+    # own timeout reads the inner time.
     sym.Consume(
         "x", "o", sym.Always(plus(O, 1), sym.Consume("y", "o", sym.Eventually(plus(O, 1), sym.eq(Y, X))))
     ),
-    # An inner timeout reads the outer time, which is bound when the inner
-    # consume is compiled: its body has a static depth.
+    # An inner timeout reads the outer time, bound in the environment that
+    # the inner consume is compiled under.
     sym.Consume(
         "x",
         "o",
@@ -804,7 +802,7 @@ SHADOWING = [
     ),
     sym.Consume("x", "o", sym.Next(sym.Consume("o", "o", sym.Always(plus(O, 0), sym.Eq(X, O))))),
     # A consume two levels below the one that fires rebinds the letter's or
-    # the time's name: the middle consume's static depth reads neither.
+    # the time's name, which the timeout under it then reads.
     sym.Consume(
         "x", "o", sym.Next(sym.Consume("y", "p", sym.Consume("x", "q", sym.Always(plus(X, 1), sym.eq(Y, "b")))))
     ),
@@ -835,16 +833,13 @@ def fired_outcome(compile_formula, phi, word):
 def test_shadowing_binders_compile_and_fire_as_substitution():
     """The environment's scoping, against the compile that substitutes, call
     for call, and against ``symbolic.judge`` on every word of up to three letters."""
-    static_depths = set()
     for phi in SHADOWING:
         for n in range(4):
             for word in itertools.product(SHADOWING_LETTERS, repeat=n):
                 new = fired_outcome(sym.compile_formula, phi, word)
                 assert new == fired_outcome(_Recursive.compile_formula, phi, word)
-                static_depths.update(d for fired in new[0] if isinstance(fired[0], str) for _, d in fired[2])
                 verdict = outcome(monitor_verdict, sym.compile_formula(phi, INTERP), word)
                 assert verdict == outcome(sym.judge, word, 1, phi, INTERP), (phi, word)
-    assert None in static_depths and len(static_depths) > 2
 
 
 GENERATABLE_SHADOWING = [
@@ -1003,17 +998,35 @@ def test_symbolic_route_has_no_recursion_cliff():
         wordgen.generate_word(sym.next_form(sym.eventually(DEEP, open_body), INTERP), INTERP, None)
 
 
-def test_open_term_walk_has_no_recursion_cliff():
-    """Terms are walked for their variables on an explicit stack.  A term this
-    deep still recurses in its dataclass ``repr``, so ``next_form`` and the
-    symbolic safe length, which show an open timeout, are not called here."""
+def deep_open_term():
     deep = X
     for _ in range(DEEP):
         deep = sym.App("s", (deep,))
+    return deep
+
+
+def test_open_term_walk_has_no_recursion_cliff():
+    """Terms are walked for their variables on an explicit stack."""
+    deep = deep_open_term()
     assert sym.free_vars(sym.eventually(deep, rt.TOP)) == {"x"}
     with pytest.raises(sym.OpenFormula) as raised:
         sym.compile_formula(sym.eq(deep, "a"), INTERP)
     assert str(raised.value) == "atom has free variables ['x']"
+
+
+def test_an_open_timeout_this_deep_is_shown_in_its_error():
+    """A term's ``repr`` is a fold, so the walkers that show an open timeout
+    in their message raise their own error, not a ``RecursionError``."""
+    deep = deep_open_term()
+    text = "App(symbol='s', args=(" * DEEP + "Var(name='x')" + ",))" * DEEP
+    assert repr(deep) == text
+    phi = sym.eventually(deep, rt.TOP)
+    with pytest.raises(rt.SafeLengthUndefined) as undefined:
+        sym.symbolic_safe_word_length(phi, INTERP)
+    assert str(undefined.value) == f"safe word length undefined: variables in timeout {text}"
+    with pytest.raises(sym.OpenFormula) as expanded:
+        sym.next_form(phi, INTERP)
+    assert str(expanded.value) == f"cannot expand ahead of time: variables in timeout {text}"
 
 
 def test_word_generation_has_no_recursion_cliff():
