@@ -12,8 +12,18 @@ Next to its verdicts, each ``Eventually`` / ``Always`` operand keeps a skip
 map per neutral verdict (F for ``Eventually``, T for ``Always``) that points
 from a position over a run of positions known to judge neutral.  A window
 scans upward, steps over those runs, points the run it walked at its end,
-and stops at the first absorbing verdict, so the windows of a nested
-``Always(n, Eventually(n, p))`` cost amortised linear time in the word.
+and stops at the first absorbing verdict.  A window that starts at ``first``
+and stops at an absorbing verdict at ``m`` has that verdict at every start
+from ``first`` to ``m``: its operand is neutral or ``?`` before ``m``, and
+T or ? is T, F and ? is F.  When the window is itself a window operand, it
+points its entry's skip map for that verdict from ``first + 1`` to ``m + 1``,
+so an enclosing window for which that verdict is neutral steps over those
+starts.  The inner window of a nested ``Always(n, Eventually(n, p))`` is
+thus scanned once per decided run, not once per start.  The lowered windows
+of :func:`symbolic.judge` are fresh nodes that are no window operand, so
+this never applies there.  A window judges an atom operand (a ``Consume``)
+at a position of the word in place: a decided result is the verdict without
+a frame of its own.
 
 Every position past the word judges alike: a ``Consume`` there is ``?`` and
 calls no user code.  So a window of any of the four operators that reaches
@@ -46,8 +56,9 @@ _Memo = Dict[int, _Entry]
 # Frame tags.  A frame waits for the verdict of the node judged above it:
 # _LEFT (tag, connective, node, position) for a connective's left operand,
 # then _RIGHT (tag, connective, left verdict) for its right; _NOT (tag,);
-# _SCAN (tag, operand, verdicts, skip, neutral, position, stop, walked,
-# result) for an ``Eventually`` / ``Always`` window; and
+# _SCAN (tag, window, operand, verdicts, skip, neutral, first, position,
+# stop, walked, result) for an ``Eventually`` / ``Always`` window that
+# started at ``first``; and
 # _FOLD (tag, is until, first, second, first verdicts, second verdicts,
 # position, start, accumulator, first's verdict or None) for an ``Until`` /
 # ``Release`` window, whose first operand is judged before its second at
@@ -72,13 +83,16 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
     """Verdict of ``phi`` at the 1-based ``position`` of ``word``.
 
     Each window operand is judged at most once per position within this
-    call, so predicates and consumers must be pure.  The table of those
-    verdicts, and the skip maps of the ``Eventually`` / ``Always`` windows,
-    live only as long as the call.  Windows are scanned in ascending order
-    and stop at the first absorbing verdict, as a left-to-right fold of the
-    window's verdicts through the connectives does, and a window's positions
-    past the end of the word are judged once, as the first of them: the same
-    predicate call raises first as in a plain fold over the whole window.
+    call, so predicates and consumers must be pure; a window operand that is
+    itself an ``Eventually`` / ``Always`` window is not judged at the later
+    starts that one of its decided judgments covers, and its verdict there is
+    inferred.  The table of those verdicts, and the skip maps of the
+    ``Eventually`` / ``Always`` windows, live only as long as the call.
+    Windows are scanned in ascending order and stop at the first absorbing
+    verdict, as a left-to-right fold of the window's verdicts through the
+    connectives does, and a window's positions past the end of the word are
+    judged once, as the first of them: the same predicate call raises first
+    as in a plain fold over the whole window.
 
     The judgment keeps its pending nodes on a stack of its own, not on
     Python's, and calls predicates and consumers in a fixed order: a
@@ -139,14 +153,14 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
                 neutral = FALSE if kind is Eventually else TRUE
                 _, verdicts, skips = _entry(memo, node.body)
                 skip = skips.setdefault(neutral, {})
-                stack.append((_SCAN, node.body, verdicts, skip, neutral, start, stop, [], neutral))
+                frame = (_SCAN, node, node.body, verdicts, skip, neutral, start, start, stop, [], neutral)
             else:
                 lefts, rights = _entry(memo, node.left)[1], _entry(memo, node.right)[1]
                 if kind is Until:
                     frame = (_FOLD, True, node.right, node.left, rights, lefts, stop - 1, start, FALSE, None)
                 else:
                     frame = (_FOLD, False, node.left, node.right, lefts, rights, stop - 1, start, TRUE, None)
-                stack.append(frame)
+            stack.append(frame)
             verdict = None  # the window frame starts without a verdict
         else:
             node = lower(node)
@@ -158,7 +172,7 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
             frame = stack.pop()
             tag = frame[0]
             if tag == _SCAN:
-                _, operand, verdicts, skip, neutral, j, stop, walked, result = frame
+                _, window, operand, verdicts, skip, neutral, first, j, stop, walked, result = frame
                 if verdict is not None:  # the operand's verdict at j, just judged
                     verdicts[j] = verdict
                 while True:
@@ -170,7 +184,15 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
                                 skip[w] = j
                             walked = []
                             if verdict is not INCONCLUSIVE:
-                                break  # absorbing: the window's verdict
+                                # Absorbing: the window's verdict, and its
+                                # verdict at every later start up to j,
+                                # unless a longer run of them is known.
+                                entry = memo.get(id(window)) if j > first else None
+                                if entry is not None:
+                                    runs = entry[2].setdefault(verdict, {})
+                                    if runs.get(first + 1, 0) <= j:
+                                        runs[first + 1] = j + 1
+                                break
                             result = verdict
                         j += 1
                     while j < stop:
@@ -186,8 +208,19 @@ def judge(word: Word, position: int, phi: runtime.Formula, lower: Callable = _fo
                         break
                     verdict = verdicts.get(j)
                     if verdict is None:
-                        stack.append((_SCAN, operand, verdicts, skip, neutral, j, stop, walked, result))
-                        node, k = operand, j
+                        if type(operand) is Consume and j <= last:
+                            # An atom is judged in place: a decided result
+                            # is its verdict at j, without a frame.
+                            letter, time = word[j - 1]
+                            node, k = operand.consumer(letter, time), j + 1
+                            if type(node) is Solved:
+                                verdict = verdicts[j] = node.value
+                                continue
+                        else:
+                            node, k = operand, j
+                        stack.append(
+                            (_SCAN, window, operand, verdicts, skip, neutral, first, j, stop, walked, result)
+                        )
                         break
                 if verdict is None:
                     break  # judge the operand at j

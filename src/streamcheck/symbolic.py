@@ -17,7 +17,8 @@ classes of this module.
 
 Which variables a node's terms hold is asked of one walk, :func:`term_vars`,
 on an explicit stack; :func:`constants` collects the nullary symbols of any
-number of formulas and terms on one stack, and a term's ``repr`` is a fold.
+number of formulas and terms on one stack, and a term's ``==``, ``hash``
+and ``repr`` walk on an explicit stack.
 The other term walks (:func:`substitute_term`, :func:`eval_term`) recurse
 once per nesting level.  A safe word length is measured in one place, on the
 symbolic formula (:func:`symbolic_safe_word_length`).
@@ -51,25 +52,65 @@ class OpenFormula(SymbolicError):
 
 
 class Term:
+    """Base class of terms.
+
+    Equality, hashing and ``repr`` are structural, as dataclass methods
+    would be, but walk on an explicit stack: terms nest one application per
+    level, deeper than the recursion limit.  A term type other than the four
+    below compares by identity.
+    """
+
     __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if type(self) not in _TERM_FIELD:
+            return True if self is other else NotImplemented
+        if type(other) is not type(self):
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            kind = type(a)
+            field = _TERM_FIELD.get(kind)
+            if field is None:  # an argument that is not a term: its own ``==``
+                if a != b:
+                    return False
+                continue
+            if type(b) is not kind:
+                return False
+            x, y = field(a), field(b)
+            if not (x is y or x == y):
+                return False
+            if kind is App:
+                if len(a.args) != len(b.args):
+                    return False
+                pairs.extend(zip(a.args, b.args))
+        return True
+
+    def __hash__(self) -> int:
+        if type(self) not in _TERM_FIELD:
+            return object.__hash__(self)
+        return runtime.fold(self, _TERM_ARGS, _hash_term)
 
     def __repr__(self) -> str:  # the dataclass ``repr``, on an explicit stack
         return runtime.join_text(runtime.fold(self, _TERM_ARGS, _repr_term))
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Var(Term):
     name: str
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Lit(Term):
     """Natural-number literal; interprets to itself."""
 
     value: int
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class App(Term):
     """Function symbol application; constants are nullary applications."""
 
@@ -77,7 +118,7 @@ class App(Term):
     args: Tuple[Term, ...] = ()
 
 
-@dataclass(frozen=True, repr=False)
+@dataclass(frozen=True, eq=False, repr=False)
 class Const(Term):
     """Opaque already-evaluated value injected into a term position."""
 
@@ -85,6 +126,22 @@ class Const(Term):
 
 
 _TERM_ARGS = {App: attrgetter("args")}
+# Each term type's field other than ``args``.
+_TERM_FIELD = {
+    Var: attrgetter("name"),
+    Lit: attrgetter("value"),
+    App: attrgetter("symbol"),
+    Const: attrgetter("value"),
+}
+
+
+def _hash_term(term: Any, kids: Sequence[int]) -> int:
+    """The dataclass hash of a leaf or a nullary application; an application
+    hashes its symbol with its arguments' hashes."""
+    field = _TERM_FIELD.get(type(term))
+    if field is None:
+        return hash(term)  # an argument that is not a term
+    return hash((field(term), tuple(kids))) if type(term) is App else hash((field(term),))
 
 
 def _repr_term(term: Any, kids: Sequence[Any]) -> Any:

@@ -252,6 +252,30 @@ def test_window_operand_judged_once_per_position():
     assert len(calls) <= len(consumed) == 429
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_a_decided_window_covers_its_later_starts(monkeypatch, seed):
+    """The inner window is judged once per period, not at all 400 starts:
+    each judgment that finds ``p`` answers every start up to it."""
+    p = rt.now(bool, "p")
+    phi = rt.Always(400, rt.Eventually(400, p))
+    word = periodic_word(400, 50, seed)
+    monitor = rt.Monitor(phi)
+    for letter, time in word:
+        if monitor.step(letter, time) is not None:
+            break
+    looked_up = []
+    entry = semantics._entry
+
+    def counted(memo, operand):
+        looked_up.append(operand)
+        return entry(memo, operand)
+
+    monkeypatch.setattr(semantics, "_entry", counted)
+    assert semantics.models(word[: monitor.consumed], phi) is truth.TRUE is monitor.verdict
+    # one lookup of p per judgment of the inner window: 400 without the rule
+    assert looked_up.count(p) <= 400 // 50 + 2
+
+
 def test_no_verdict_table_outlives_its_call():
     p = letter_is("a")
     phi = rt.Always(3, rt.Eventually(2, p))
@@ -506,6 +530,50 @@ def assert_same_calls(word, phi):
     return raised
 
 
+def nested_window_formula(rng, atoms):
+    """Windows two and three deep directly over windows, over atoms that are
+    ``?`` at ``b`` or, at ``b``, return the refusing atom judged one letter
+    later; one inner window object may sit under two windows."""
+    unknown_at_b = rt.now(
+        lambda letter: truth.INCONCLUSIVE if letter == "b" else letter == "a", "a, ? at b"
+    )
+    c_after_b = rt.bind(
+        lambda letter, _time: atoms["c"] if letter == "b" else rt.solved(truth.Verdict.from_bool(letter == "a")),
+        label="a, or after b a c",
+    )
+    inner = rng.choice([unknown_at_b, c_after_b, rt.Or(unknown_at_b, atoms["c"]), atoms["a"]])
+    for _ in range(rng.randint(1, 2)):
+        inner = rng.choice((rt.Eventually, rt.Always))(rng.randint(1, 6), inner)
+
+    def window():
+        return rng.choice((rt.Eventually, rt.Always))(rng.randint(1, 6), inner)
+
+    shapes = [window(), rt.Or(window(), window()), rt.Until(rng.randint(1, 6), inner, window())]
+    return rng.choice(shapes)
+
+
+def nested_window_word(rng):
+    """Up to 16 letters: random, or ``a`` every few letters among ``b``."""
+    if rng.random() < 0.5:
+        return random_word(rng, max_len=16)
+    length, period, phase = rng.randint(0, 16), rng.randint(2, 6), rng.randint(0, 5)
+    return [("a" if (i - phase) % period == 0 else "b", i) for i in range(length)]
+
+
+def test_nested_windows_agree_with_the_reference_at_every_position():
+    raised = decided = 0
+    atoms = refusing_atoms()
+    for seed in range(200):
+        rng = random.Random(seed)
+        phi, word = nested_window_formula(rng, atoms), nested_window_word(rng)
+        for position in range(1, len(word) + 3):
+            expected = outcome(reference_judge, word, position, phi)
+            assert outcome(semantics.judge, word, position, phi) == expected
+            raised += isinstance(expected, tuple)
+            decided += expected in (truth.TRUE, truth.FALSE)
+    assert raised > 50 and decided > 500
+
+
 CORPORA = {
     "shared-windows": lambda rng, atoms: (shared_window_formula(rng, atoms), random_word(rng)),
     "long-windows": lambda rng, atoms: (
@@ -516,6 +584,7 @@ CORPORA = {
         random_runtime_formula(rng, depth=4, allow_dynamic=True, atoms=atoms),
         random_word(rng),
     ),
+    "nested-windows": lambda rng, atoms: (nested_window_formula(rng, atoms), nested_window_word(rng)),
 }
 
 

@@ -126,6 +126,50 @@ def test_a_term_prints_as_its_dataclass():
     )
 
 
+def random_term(rng, depth=3):
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        leaves = [sym.Var(rng.choice("xy")), sym.Lit(rng.randint(0, 2)), sym.Const(rng.choice([None, 1, "a"]))]
+        return rng.choice(leaves)
+    args = tuple(random_term(rng, depth - 1) for _ in range(rng.randint(0, 2)))
+    return sym.App(rng.choice("fg"), args)
+
+
+def term_key(term):
+    """A term as nested tuples, which compare as the dataclass fields did."""
+    if isinstance(term, sym.App):
+        return ("App", term.symbol, tuple(term_key(arg) for arg in term.args))
+    return (type(term).__name__, term.name if isinstance(term, sym.Var) else term.value)
+
+
+def rebuilt(term):
+    """An equal term, built afresh."""
+    if isinstance(term, sym.App):
+        return sym.App(term.symbol, tuple(rebuilt(arg) for arg in term.args))
+    return type(term)(term.name if isinstance(term, sym.Var) else term.value)
+
+
+def test_terms_compare_and_hash_as_their_fields():
+    """Term ``==`` and ``hash`` walk on a stack but keep the dataclass meaning:
+    the same type and fields, arguments compared in turn; a leaf or a nullary
+    application keeps its dataclass hash."""
+    rng = random.Random(4)
+    terms = [random_term(rng) for _ in range(400)]
+    equal = 0
+    for a, b in zip(terms, terms[1:] + terms[:1]):
+        twin = rebuilt(a)
+        for x, y in ((a, b), (a, twin)):
+            assert (x == y) is (term_key(x) == term_key(y)) is not (x != y)
+            if x == y:
+                equal += 1
+                assert hash(x) == hash(y)
+    assert equal > 400
+    assert hash(sym.Var("x")) == hash(("x",)) and hash(sym.Lit(3)) == hash((3,))
+    assert hash(sym.App("c")) == hash(("c", ()))
+    assert sym.Var("x") != sym.App("x") and sym.Lit(1) != sym.Const(1)
+    assert sym.App("f", (1,)) == sym.App("f", (1,)) != sym.App("f", (1, 1))
+
+
 class TestEvalTerm:
     def test_function_application(self):
         term = sym.App("plus", (sym.Lit(1), sym.Lit(2)))

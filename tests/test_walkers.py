@@ -1029,6 +1029,18 @@ def test_an_open_timeout_this_deep_is_shown_in_its_error():
     assert str(expanded.value) == f"cannot expand ahead of time: variables in timeout {text}"
 
 
+def test_deep_terms_compare_and_hash():
+    """Term ``==`` and ``hash`` walk on an explicit stack, and so do the
+    dataclass methods of the atoms that hold such terms."""
+    a, b = deep_open_term(), deep_open_term()
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert sym.eq(a, "c") == sym.eq(b, "c") and hash(sym.eq(a, "c")) == hash(sym.eq(b, "c"))
+    other = sym.Var("y")
+    for _ in range(DEEP):
+        other = sym.App("s", (other,))
+    assert a != other and not a == other
+
+
 def test_word_generation_has_no_recursion_cliff():
     """An ``always`` next form nests a conjunction and a ``next`` per instant;
     the generator loops down both, so a word of DEEP batches generates."""
